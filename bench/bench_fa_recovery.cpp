@@ -29,8 +29,8 @@ struct Result {
 
 Result run(bool verify_arp, bool broadcast) {
   scenario::Figure1Options options;
-  options.fa_verify_recovery_with_arp = verify_arp;
-  options.fa_reregister_broadcast_on_reboot = broadcast;
+  options.protocol.fa_verify_recovery_with_arp = verify_arp;
+  options.protocol.fa_reregister_broadcast_on_reboot = broadcast;
   scenario::Figure1 w(options);
   Result result;
   if (!w.register_at_d()) return result;

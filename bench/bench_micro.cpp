@@ -6,7 +6,6 @@
 
 #include "core/encapsulation.hpp"
 #include "core/location_cache.hpp"
-#include "legacy_event_queue.hpp"
 #include "net/packet.hpp"
 #include "net/udp.hpp"
 #include "sim/event_queue.hpp"
@@ -132,14 +131,12 @@ void BM_LocationCacheUpdateWithEviction(benchmark::State& state) {
 }
 BENCHMARK(BM_LocationCacheUpdateWithEviction);
 
-// The slab queue (src/sim) vs the shared_ptr-handle queue it replaced
-// (bench/legacy_event_queue.hpp), over the two hot patterns: schedule
-// then pop (pure throughput) and schedule then cancel (the timer-churn
-// pattern — every retransmit timer that is armed and then disarmed).
+// The slab event queue over its two hot patterns: schedule then pop
+// (pure throughput) and schedule then cancel (the timer-churn pattern —
+// every retransmit timer that is armed and then disarmed).
 
-template <typename Queue>
-void schedule_pop_loop(benchmark::State& state) {
-  Queue q;
+void BM_EventQueueScheduleAndPop(benchmark::State& state) {
+  sim::EventQueue q;
   sim::Time t = 0;
   for (auto _ : state) {
     for (int i = 0; i < 16; ++i) {
@@ -151,10 +148,10 @@ void schedule_pop_loop(benchmark::State& state) {
     t += 100;
   }
 }
+BENCHMARK(BM_EventQueueScheduleAndPop);
 
-template <typename Queue>
-void schedule_cancel_loop(benchmark::State& state) {
-  Queue q;
+void BM_EventQueueScheduleAndCancel(benchmark::State& state) {
+  sim::EventQueue q;
   sim::Time t = 0;
   for (auto _ : state) {
     // One survivor past every cancelled event, so the single pop below
@@ -169,25 +166,6 @@ void schedule_cancel_loop(benchmark::State& state) {
     t += 10000;
   }
 }
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  schedule_pop_loop<sim::EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueScheduleAndPop);
-
-void BM_LegacyEventQueueScheduleAndPop(benchmark::State& state) {
-  schedule_pop_loop<bench::legacy::EventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueScheduleAndPop);
-
-void BM_EventQueueScheduleAndCancel(benchmark::State& state) {
-  schedule_cancel_loop<sim::EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueScheduleAndCancel);
-
-void BM_LegacyEventQueueScheduleAndCancel(benchmark::State& state) {
-  schedule_cancel_loop<bench::legacy::EventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueScheduleAndCancel);
 
 }  // namespace

@@ -510,6 +510,9 @@ void MhrpAgent::handle_location_update(const net::IcmpLocationUpdate& update) {
       if (config_.verify_recovery_with_arp) {
         // Elicit a reply from the mobile host before believing the home
         // agent (the paper's "query message onto its local network").
+        // Forget the old entry first: ARP entries never expire and a
+        // reboot keeps them, so only a fresh reply may count.
+        node_.arp_table(*iface).forget(update.mobile_host);
         net::ArpMessage query;
         query.op = net::ArpMessage::Op::kRequest;
         query.sender_mac = iface->mac();

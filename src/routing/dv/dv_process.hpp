@@ -96,13 +96,6 @@ class DvProcess {
   void handle_link_state(net::Interface& iface, bool up);
 
   [[nodiscard]] const DvStats& stats() const { return stats_; }
-  /// Transitional accessors matching the old node::DistanceVector API.
-  [[nodiscard]] std::uint64_t updates_sent() const {
-    return stats_.updates_sent;
-  }
-  [[nodiscard]] std::uint64_t updates_received() const {
-    return stats_.updates_received;
-  }
 
   /// Fired after this process changes what it would forward on: a route
   /// learned, re-pointed, re-metric'd, or withdrawn. The scenario layer

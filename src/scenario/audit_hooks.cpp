@@ -1,8 +1,6 @@
 #include "scenario/audit_hooks.hpp"
 
-#include "scenario/figure1.hpp"
-#include "scenario/mhrp_world.hpp"
-#include "scenario/topology.hpp"
+#include "scenario/deployment.hpp"
 
 namespace mhrp::scenario::audit {
 
@@ -10,26 +8,14 @@ void attach(analysis::PacketAuditor& auditor, Topology& topo) {
   for (const auto& link : topo.links()) auditor.attach_link(*link);
 }
 
-void attach(analysis::PacketAuditor& auditor, Figure1& world) {
+void attach(analysis::PacketAuditor& auditor, MhrpDeployment& world) {
   attach(auditor, world.topo);
-  if (world.agent_r1) auditor.watch_cache(world.agent_r1->cache(), "R1 cache");
-  if (world.ha) auditor.watch_cache(world.ha->cache(), "R2/HA cache");
-  if (world.fa_r4) auditor.watch_cache(world.fa_r4->cache(), "R4/FA cache");
-  if (world.fa_r5) auditor.watch_cache(world.fa_r5->cache(), "R5/FA cache");
-  if (world.agent_s) auditor.watch_cache(world.agent_s->cache(), "S cache");
-}
-
-void attach(analysis::PacketAuditor& auditor, MhrpWorld& world) {
-  attach(auditor, world.topo);
-  if (world.ha) auditor.watch_cache(world.ha->cache(), "HA cache");
-  for (std::size_t i = 0; i < world.fas.size(); ++i) {
-    auditor.watch_cache(world.fas[i]->cache(),
-                        "FA" + std::to_string(i) + " cache");
-  }
-  for (std::size_t i = 0; i < world.corr_agents.size(); ++i) {
-    auditor.watch_cache(world.corr_agents[i]->cache(),
-                        "C" + std::to_string(i) + " cache");
-  }
+  auto watch = [&auditor](core::MhrpAgent& agent) {
+    auditor.watch_cache(agent.cache(), agent.node().name() + " cache");
+  };
+  if (world.ha) watch(*world.ha);
+  for (const auto& fa : world.fas) watch(*fa);
+  for (const auto& ca : world.corr_agents) watch(*ca);
 }
 
 bool audit_build() {

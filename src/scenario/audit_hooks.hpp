@@ -2,13 +2,13 @@
 //
 // Two modes:
 //  * Explicit — tests construct a PacketAuditor and attach() it to a
-//    Figure1 / MhrpWorld / Topology; links and (for the world helpers)
-//    every agent's LocationCache are covered. The auditor should be
-//    declared after the world (or detached before the world dies) so the
-//    watched caches outlive it; link lifetime is safe either way.
-//  * Audit builds (cmake -DMHRP_AUDIT=ON) — every Topology constructed by
-//    Figure1 / MhrpWorld auto-attaches a process-global auditor, so the
-//    entire test and bench suite runs under wire audit. The global
+//    world (any MhrpDeployment) or a bare Topology; links and (for
+//    worlds) every agent's LocationCache are covered. The auditor should
+//    be declared after the world (or detached before the world dies) so
+//    the watched caches outlive it; link lifetime is safe either way.
+//  * Audit builds (cmake -DMHRP_AUDIT=ON) — every unsharded world's
+//    MhrpDeployment::install() auto-attaches a process-global auditor, so
+//    the entire test and bench suite runs under wire audit. The global
 //    auditor watches links only (caches die with their scenarios).
 #pragma once
 
@@ -19,8 +19,7 @@
 namespace mhrp::scenario {
 
 class Topology;
-struct Figure1;
-class MhrpWorld;
+class MhrpDeployment;
 
 namespace audit {
 
@@ -28,9 +27,10 @@ namespace audit {
 /// are not covered; call again after construction completes.
 void attach(analysis::PacketAuditor& auditor, Topology& topo);
 
-/// Attach to every link and watch every installed agent's cache.
-void attach(analysis::PacketAuditor& auditor, Figure1& world);
-void attach(analysis::PacketAuditor& auditor, MhrpWorld& world);
+/// Attach to every link and watch every installed agent's cache, each
+/// labelled "<node name> cache". Unsharded worlds only: the auditor is a
+/// single-threaded instrument.
+void attach(analysis::PacketAuditor& auditor, MhrpDeployment& world);
 
 /// True when this binary was compiled with -DMHRP_AUDIT=ON.
 [[nodiscard]] bool audit_build();

@@ -1,14 +1,12 @@
 #include "scenario/figure1.hpp"
 
-#include "scenario/audit_hooks.hpp"
-
 namespace mhrp::scenario {
 
 namespace {
 net::IpAddress ip(const char* text) { return net::IpAddress::parse(text); }
 }  // namespace
 
-Figure1::Figure1(Figure1Options options) {
+Figure1::Figure1(Figure1Options options) : MhrpDeployment(options.protocol) {
   backbone = &topo.add_link("backbone", sim::millis(2));
   net_a = &topo.add_link("netA", sim::millis(1));
   net_b = &topo.add_link("netB", sim::millis(1));
@@ -39,74 +37,21 @@ Figure1::Figure1(Figure1Options options) {
   net::Interface& r4_cell = topo.connect(*r4, *net_d, ip("10.4.0.1"), 24);
   net::Interface& r5_cell = topo.connect(*r5, *net_e, ip("10.5.0.1"), 24);
 
-  core::MobileHostConfig m_config;
   // M registers with R2's address *on its home network* — that is the
   // agent address R2 advertises on network B.
-  m_config.home_agent = ip("10.2.0.1");
-  m_config.update_min_interval = options.update_min_interval;
-  m = &topo.add_mobile_host("M", m_address(), 24, m_config);
+  m = &add_mobile_host("M", m_address(), r2_home);
 
-  for (const auto& node : topo.nodes()) {
-    node->set_icmp_quote_limit(options.icmp_quote_limit);
-  }
+  Roles roles;
+  roles.home = {r2, &r2_home};
+  roles.foreign = {{r4, &r4_cell}, {r5, &r5_cell}};
+  roles.cache = {r1};
+  if (options.s_is_cache_agent) roles.cache.push_back(s);
+  install(roles);
 
-  topo.install_static_routes();
-
-  core::AgentConfig ha_config;
-  ha_config.home_agent = true;
-  ha_config.cache_agent = true;
-  ha_config.advertisement_period = options.advertisement_period;
-  ha_config.max_list_length = options.max_list_length;
-  ha_config.forwarding_pointers = options.forwarding_pointers;
-  ha_config.update_min_interval = options.update_min_interval;
-  ha = std::make_unique<core::MhrpAgent>(*r2, ha_config);
-  ha->serve_on(r2_home);
-  ha->provision_mobile_host(m_address());
-  ha->start_advertising();
-
-  core::AgentConfig fa_config;
-  fa_config.foreign_agent = true;
-  fa_config.cache_agent = true;
-  fa_config.advertisement_period = options.advertisement_period;
-  fa_config.max_list_length = options.max_list_length;
-  fa_config.forwarding_pointers = options.forwarding_pointers;
-  fa_config.update_min_interval = options.update_min_interval;
-  fa_config.verify_recovery_with_arp = options.fa_verify_recovery_with_arp;
-  fa_config.reregister_broadcast_on_reboot =
-      options.fa_reregister_broadcast_on_reboot;
-  fa_r4 = std::make_unique<core::MhrpAgent>(*r4, fa_config);
-  fa_r4->serve_on(r4_cell);
-  fa_r4->start_advertising();
-  fa_r5 = std::make_unique<core::MhrpAgent>(*r5, fa_config);
-  fa_r5->serve_on(r5_cell);
-  fa_r5->start_advertising();
-
-  if (options.r1_is_cache_agent) {
-    core::AgentConfig ca_config;
-    ca_config.cache_agent = true;
-    ca_config.update_min_interval = options.update_min_interval;
-    agent_r1 = std::make_unique<core::MhrpAgent>(*r1, ca_config);
-  }
-  if (options.s_is_cache_agent) {
-    core::AgentConfig ca_config;
-    ca_config.cache_agent = true;
-    ca_config.update_min_interval = options.update_min_interval;
-    agent_s = std::make_unique<core::MhrpAgent>(*s, ca_config);
-  }
-
-  audit::auto_attach(topo);
-}
-
-bool Figure1::move_and_register(net::Link& cell, sim::Time limit) {
-  bool registered = false;
-  m->on_registered = [&registered] { registered = true; };
-  m->attach_to(cell);
-  const sim::Time deadline = topo.sim().now() + limit;
-  while (!registered && topo.sim().now() < deadline) {
-    topo.sim().run_for(sim::millis(100));
-  }
-  m->on_registered = nullptr;
-  return registered;
+  fa_r4 = fas[0].get();
+  fa_r5 = fas[1].get();
+  agent_r1 = corr_agents[0].get();
+  if (options.s_is_cache_agent) agent_s = corr_agents[1].get();
 }
 
 }  // namespace mhrp::scenario

@@ -12,37 +12,24 @@
 // M is a mobile host with home address 10.2.0.77 on network B. R4 and R5
 // are foreign agents on the wireless networks D and E (R5/E extends the
 // figure to support the §6.3 walkthrough, where M moves from R4 to a new
-// foreign agent R5). R2 is M's home agent. R1 and S may act as cache
-// agents. Every integration test and several benchmarks run on this
-// world.
+// foreign agent R5). R2 is M's home agent. R1 is a cache agent, and S
+// is one unless Figure1Options says otherwise. Every integration test
+// and several benchmarks run on this world.
 #pragma once
 
-#include <memory>
-
-#include "core/agent.hpp"
-#include "scenario/topology.hpp"
+#include "scenario/deployment.hpp"
 
 namespace mhrp::scenario {
 
 struct Figure1Options {
-  sim::Time advertisement_period = sim::seconds(1);
-  std::size_t max_list_length = 8;
-  bool forwarding_pointers = true;
+  ProtocolOptions protocol;
+  /// S runs a cache agent; false leaves it a plain host behind R1's.
   bool s_is_cache_agent = true;
-  bool r1_is_cache_agent = true;
-  sim::Time update_min_interval = sim::millis(100);
-  /// ICMP error quote limit applied to every node (0 = full packet, which
-  /// §4.5 needs for complete error reverse-tunneling).
-  std::size_t icmp_quote_limit = 28;
-  /// §5.2 options on the foreign agents.
-  bool fa_verify_recovery_with_arp = false;
-  bool fa_reregister_broadcast_on_reboot = false;
 };
 
-struct Figure1 {
+class Figure1 : public MhrpDeployment {
+ public:
   explicit Figure1(Figure1Options options = Figure1Options());
-
-  Topology topo;
 
   node::Router* r1 = nullptr;
   node::Router* r2 = nullptr;  // home agent
@@ -59,11 +46,12 @@ struct Figure1 {
   net::Link* net_d = nullptr;
   net::Link* net_e = nullptr;
 
-  std::unique_ptr<core::MhrpAgent> agent_r1;  // cache agent (optional)
-  std::unique_ptr<core::MhrpAgent> ha;        // R2: home + cache agent
-  std::unique_ptr<core::MhrpAgent> fa_r4;     // foreign + cache agent
-  std::unique_ptr<core::MhrpAgent> fa_r5;     // foreign + cache agent
-  std::unique_ptr<core::MhrpAgent> agent_s;   // S as cache agent (optional)
+  // The installed agents by role; `ha` (R2: home + cache agent) is the
+  // deployment's.
+  core::MhrpAgent* fa_r4 = nullptr;     // foreign + cache agent
+  core::MhrpAgent* fa_r5 = nullptr;     // foreign + cache agent
+  core::MhrpAgent* agent_r1 = nullptr;  // cache agent
+  core::MhrpAgent* agent_s = nullptr;   // S as cache agent (optional)
 
   static constexpr const char* kMAddress = "10.2.0.77";
   [[nodiscard]] net::IpAddress m_address() const {
@@ -72,7 +60,9 @@ struct Figure1 {
 
   /// Attach M to a cell and run the simulation until its registration
   /// round completes (or `limit` elapses). Returns true on success.
-  bool move_and_register(net::Link& cell, sim::Time limit = sim::seconds(30));
+  bool move_and_register(net::Link& cell, sim::Time limit = sim::seconds(30)) {
+    return attach_and_register(*m, cell, limit);
+  }
 
   /// Convenience movements from the paper's walkthroughs.
   bool register_at_d() { return move_and_register(*net_d); }

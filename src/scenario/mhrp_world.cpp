@@ -1,17 +1,15 @@
 #include "scenario/mhrp_world.hpp"
 
-#include <limits>
 #include <sstream>
 
-#include "scenario/audit_hooks.hpp"
 #include "scenario/replay_digest.hpp"
-#include "scenario/telemetry_hooks.hpp"
 
 namespace mhrp::scenario {
 
 MhrpWorld::MhrpWorld(MhrpWorldOptions opts)
-    : topo(opts.protocol.seed), options(opts) {
+    : MhrpDeployment(opts.protocol), options(opts) {
   auto& backbone = topo.add_link("backbone", sim::millis(2));
+  Roles roles;
 
   // Home site: router .1 on 10.1.0.0/24, backbone 10.0.0.1.
   home_router = &topo.add_router("HomeRouter");
@@ -20,6 +18,7 @@ MhrpWorld::MhrpWorld(MhrpWorldOptions opts)
   net::Interface& ha_iface =
       topo.connect(*home_router, *home_lan, net::IpAddress::of(10, 1, 0, 1),
                    24);
+  roles.home = {home_router, &ha_iface};
 
   // Correspondent site: router on 10.200.0.0/24, backbone 10.0.0.2.
   auto& corr_router = topo.add_router("CorrRouter");
@@ -33,11 +32,11 @@ MhrpWorld::MhrpWorld(MhrpWorldOptions opts)
                                     static_cast<std::uint8_t>(10 + c)),
                  24);
     correspondents.push_back(&host);
+    roles.cache.push_back(&host);
   }
 
   // Foreign sites: router j on 10.(2+j).0.0/24, backbone 10.0.0.(10+j),
   // each with a wireless cell.
-  std::vector<net::Interface*> fa_cell_ifaces;
   for (int j = 0; j < opts.foreign_sites; ++j) {
     auto& r = topo.add_router("FA" + std::to_string(j));
     topo.connect(r, backbone,
@@ -45,120 +44,17 @@ MhrpWorld::MhrpWorld(MhrpWorldOptions opts)
                                     static_cast<std::uint8_t>(10 + j)),
                  24);
     auto& cell = topo.add_link("cell" + std::to_string(j), sim::millis(1));
-    net::Interface& cell_iface =
-        topo.connect(r, cell, fa_address(j), 24);
     fa_routers.push_back(&r);
     cells.push_back(&cell);
-    fa_cell_ifaces.push_back(&cell_iface);
+    roles.foreign.push_back({&r, &topo.connect(r, cell, fa_address(j), 24)});
   }
 
   // Mobile hosts, homed on the home LAN (initially detached).
   for (int i = 0; i < opts.mobile_hosts; ++i) {
-    core::MobileHostConfig config;
-    config.home_agent = net::IpAddress::of(10, 1, 0, 1);
-    config.update_min_interval = opts.protocol.update_min_interval;
-    config.solicit_on_attach = opts.solicit_on_attach;
-    mobiles.push_back(&topo.add_mobile_host("M" + std::to_string(i),
-                                            mobile_address(i), 24, config));
+    add_mobile_host("M" + std::to_string(i), mobile_address(i), ha_iface, 0,
+                    opts.solicit_on_attach);
   }
-
-  for (const auto& node : topo.nodes()) {
-    node->set_icmp_quote_limit(opts.protocol.icmp_quote_limit);
-  }
-
-  topo.install_static_routes();
-
-  if (opts.protocol.routing == routing::dv::Mode::kDv) {
-    // Jitter seeds come from a dedicated stream (not topo.rng()), so
-    // enabling DV cannot shift any other seeded draw.
-    util::Rng dv_seeds(opts.protocol.seed ^ 0x64767274ULL);
-    for (const auto& node : topo.nodes()) {
-      auto* router = dynamic_cast<node::Router*>(node.get());
-      if (router == nullptr) continue;
-      auto process = std::make_unique<routing::dv::DvProcess>(
-          *router, opts.protocol.dv,
-          dv_seeds.uniform(0, std::numeric_limits<std::uint64_t>::max() - 1));
-      process->start();
-      dv_processes.push_back(std::move(process));
-    }
-  }
-
-  core::AgentConfig ha_config;
-  ha_config.home_agent = true;
-  ha_config.cache_agent = true;
-  ha_config.advertisement_period = opts.protocol.advertisement_period;
-  ha_config.max_list_length = opts.protocol.max_list_length;
-  ha_config.forwarding_pointers = opts.protocol.forwarding_pointers;
-  ha_config.update_min_interval = opts.protocol.update_min_interval;
-  ha = std::make_unique<core::MhrpAgent>(*home_router, ha_config);
-  ha->serve_on(ha_iface);
-  if (opts.protocol.store.enabled) {
-    // Attach the disk before provisioning so every row ever created is
-    // in the log from the start.
-    ha_store = std::make_unique<store::HomeStore>(topo.sim(),
-                                                  opts.protocol.store);
-    ha->attach_store(*ha_store);
-  }
-  for (int i = 0; i < opts.mobile_hosts; ++i) {
-    ha->provision_mobile_host(mobile_address(i));
-  }
-  ha->start_advertising();
-
-  for (int j = 0; j < opts.foreign_sites; ++j) {
-    core::AgentConfig fa_config;
-    fa_config.foreign_agent = true;
-    fa_config.cache_agent = true;
-    fa_config.advertisement_period = opts.protocol.advertisement_period;
-    fa_config.max_list_length = opts.protocol.max_list_length;
-    fa_config.forwarding_pointers = opts.protocol.forwarding_pointers;
-    fa_config.update_min_interval = opts.protocol.update_min_interval;
-    auto agent = std::make_unique<core::MhrpAgent>(*fa_routers[std::size_t(j)],
-                                                   fa_config);
-    agent->serve_on(*fa_cell_ifaces[std::size_t(j)]);
-    agent->start_advertising();
-    fas.push_back(std::move(agent));
-  }
-
-  if (opts.correspondents_are_cache_agents) {
-    for (node::Host* host : correspondents) {
-      core::AgentConfig ca_config;
-      ca_config.cache_agent = true;
-      ca_config.update_min_interval = opts.protocol.update_min_interval;
-      corr_agents.push_back(std::make_unique<core::MhrpAgent>(*host, ca_config));
-    }
-  }
-
-  audit::auto_attach(topo);
-}
-
-bool MhrpWorld::move_and_register(int i, int site, sim::Time limit) {
-  core::MobileHost& m = *mobiles[std::size_t(i)];
-  bool registered = false;
-  m.on_registered = [&registered] { registered = true; };
-  m.attach_to(site < 0 ? *home_lan : *cells[std::size_t(site)]);
-  const sim::Time deadline = topo.sim().now() + limit;
-  while (!registered && topo.sim().now() < deadline) {
-    topo.sim().run_for(sim::millis(100));
-  }
-  m.on_registered = nullptr;
-  return registered;
-}
-
-std::uint64_t MhrpWorld::total_updates_sent() const {
-  std::uint64_t total = ha->stats().updates_sent;
-  for (const auto& fa : fas) total += fa->stats().updates_sent;
-  for (const auto& ca : corr_agents) total += ca->stats().updates_sent;
-  for (const auto* m : mobiles) total += m->stats().updates_sent;
-  return total;
-}
-
-std::size_t MhrpWorld::total_agent_state() const {
-  std::size_t total = ha->home_database_size() + ha->cache().size();
-  for (const auto& fa : fas) {
-    total += fa->visiting_count() + fa->cache().size();
-  }
-  for (const auto& ca : corr_agents) total += ca->cache().size();
-  return total;
+  install(roles);
 }
 
 std::string MhrpWorld::metrics_digest() const {
@@ -166,11 +62,7 @@ std::string MhrpWorld::metrics_digest() const {
   // world; nothing polls it mid-run) — probes read the same stats structs
   // either way, so the digest matches ScaleWorld's structure.
   telemetry::MetricRegistry reg;
-  bind_agent_probes(reg, "ha", *ha);
-  bind_agent_aggregate_probes(reg, "fa", fas);
-  bind_agent_aggregate_probes(reg, "ca", corr_agents);
-  bind_mobile_probes(reg, "mobiles", mobiles);
-  if (ha_store) bind_store_probes(reg, "store", *ha_store);
+  bind_role_probes(reg);
 
   std::ostringstream out;
   out << "mhrpworld f=" << options.foreign_sites

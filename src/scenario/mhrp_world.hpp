@@ -6,21 +6,17 @@
 // are built on it.
 #pragma once
 
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "core/agent.hpp"
-#include "routing/dv/dv_process.hpp"
-#include "scenario/protocol_options.hpp"
-#include "scenario/topology.hpp"
+#include "scenario/deployment.hpp"
 
 namespace mhrp::scenario {
 
 struct MhrpWorldOptions {
   int foreign_sites = 3;
   int mobile_hosts = 1;
-  int correspondents = 1;
-  bool correspondents_are_cache_agents = true;
+  int correspondents = 1;  // each a cache agent
   /// §3: a mobile host "may wait to hear the next periodic advertisement
   /// message, or may optionally multicast an agent solicitation".
   bool solicit_on_attach = true;
@@ -28,29 +24,17 @@ struct MhrpWorldOptions {
   ProtocolOptions protocol;
 };
 
-class MhrpWorld {
+class MhrpWorld : public MhrpDeployment {
  public:
   explicit MhrpWorld(MhrpWorldOptions options = MhrpWorldOptions());
 
-  Topology topo;
   MhrpWorldOptions options;
 
   node::Router* home_router = nullptr;  // also the home agent
   net::Link* home_lan = nullptr;
   std::vector<node::Router*> fa_routers;
   std::vector<net::Link*> cells;  // wireless cell of each foreign site
-  std::vector<core::MobileHost*> mobiles;
   std::vector<node::Host*> correspondents;
-
-  std::unique_ptr<core::MhrpAgent> ha;
-  /// The HA's durable database, present when protocol.store.enabled.
-  std::unique_ptr<store::HomeStore> ha_store;
-  std::vector<std::unique_ptr<core::MhrpAgent>> fas;
-  std::vector<std::unique_ptr<core::MhrpAgent>> corr_agents;
-  /// One DV routing process per router, populated only under
-  /// protocol.routing == Mode::kDv (static routes stay as the fallback
-  /// tier). Started at construction.
-  std::vector<std::unique_ptr<routing::dv::DvProcess>> dv_processes;
 
   [[nodiscard]] net::IpAddress mobile_address(int i) const {
     return net::IpAddress::of(10, 1, 0, static_cast<std::uint8_t>(100 + i));
@@ -61,17 +45,16 @@ class MhrpWorld {
 
   /// Attach mobile `i` to foreign cell `site` (or home when site < 0)
   /// and run until its registration completes. Returns success.
-  bool move_and_register(int i, int site, sim::Time limit = sim::seconds(30));
+  bool move_and_register(int i, int site, sim::Time limit = sim::seconds(30)) {
+    return attach_and_register(
+        *mobiles[static_cast<std::size_t>(i)],
+        site < 0 ? *home_lan : *cells[static_cast<std::size_t>(site)], limit);
+  }
 
-  /// Total location-update messages sent by every agent in the world.
-  [[nodiscard]] std::uint64_t total_updates_sent() const;
   /// Deterministic textual digest (topology counters plus a
   /// metric-registry snapshot over every agent, the mobiles, and the
   /// store) — the same replay contract as ScaleWorld::metrics_digest.
   [[nodiscard]] std::string metrics_digest() const;
-  /// Total agent control state (HA database rows + FA visiting entries +
-  /// cache entries), for the scalability experiment.
-  [[nodiscard]] std::size_t total_agent_state() const;
 };
 
 }  // namespace mhrp::scenario

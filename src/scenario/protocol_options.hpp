@@ -1,8 +1,8 @@
 // The MHRP protocol knobs every scenario world exposes, factored into
-// one struct so MhrpWorldOptions and ScaleWorldOptions cannot drift:
-// both embed a ProtocolOptions and feed the same fields into the same
-// AgentConfig / MobileHostConfig slots. Topology shape, population, and
-// workload stay in the per-world option structs.
+// one struct so Figure1Options, MhrpWorldOptions and ScaleWorldOptions
+// cannot drift: each embeds a ProtocolOptions, and MhrpDeployment feeds
+// it into every AgentConfig and MobileHostConfig. Topology shape,
+// population, and workload stay in the per-world option structs.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +23,11 @@ struct ProtocolOptions {
   std::size_t max_list_length = 8;
   /// §5.2: foreign agents keep forwarding pointers after a host departs.
   bool forwarding_pointers = true;
+  /// §5.2 options on the foreign agents: verify a recovery location
+  /// update with an ARP query before re-adding the visitor, and broadcast
+  /// a re-register query after a reboot.
+  bool fa_verify_recovery_with_arp = false;
+  bool fa_reregister_broadcast_on_reboot = false;
   /// Octets of the offending datagram quoted in ICMP errors (§4.5 cares
   /// that the quote reaches the original sender through the tunnel).
   std::size_t icmp_quote_limit = 28;

@@ -76,8 +76,8 @@ ScaleWorldOptions validate(ScaleWorldOptions o) {
 }  // namespace
 
 ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
-    : topo(opts.protocol.seed,
-           static_cast<std::uint32_t>(std::max(0, opts.shards))),
+    : MhrpDeployment(opts.protocol,
+                     static_cast<std::uint32_t>(std::max(0, opts.shards))),
       options(validate(opts)),
       instruments(options.telemetry) {
   const int n = options.routers;
@@ -102,6 +102,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
                                        shard_of_region(region_of_router(r))));
   }
   home_router = routers.front();
+  Roles roles;
 
   // Backbone: point-to-point /30 circuits between adjacent routers.
   int link_no = 0;
@@ -133,6 +134,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   net::Interface& ha_iface = topo.connect(
       *home_router, *home_lan, net::IpAddress(kHomeLanBase + 1),
       kHomePrefixLength);
+  roles.home = {home_router, &ha_iface};
 
   // Correspondent site on the last router.
   auto& corr_lan = topo.add_link("corrLan", options.link_latency);
@@ -141,28 +143,28 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   corr_shard_ = shard_of_region(region_of_router(n - 1));
   for (int c = 0; c < options.correspondents; ++c) {
     auto& host = topo.add_host("C" + std::to_string(c), corr_shard_);
-    topo.connect(host, corr_lan,
-                 net::IpAddress(kCorrLanBase + 10 + static_cast<std::uint32_t>(c)),
-                 24);
+    topo.connect(
+        host, corr_lan,
+        net::IpAddress(kCorrLanBase + 10 + static_cast<std::uint32_t>(c)), 24);
     correspondents.push_back(&host);
+    // §2: any node talking to mobile hosts "should generally also
+    // function as a cache agent".
+    roles.cache.push_back(&host);
   }
 
   // Foreign sites: F routers spread evenly over the backbone (router 0 is
   // the home site and never hosts a foreign agent), each with a cell.
   region_cells_.resize(static_cast<std::size_t>(regions));
-  std::vector<net::Interface*> fa_cell_ifaces;
   for (int j = 0; j < options.foreign_agents; ++j) {
     const int idx = 1 + (j * (n - 1)) / options.foreign_agents;
     node::Router& r = *routers[static_cast<std::size_t>(idx)];
     auto& cell = topo.add_link("cell" + std::to_string(j),
                                options.link_latency);
-    net::Interface& cell_iface = topo.connect(
-        r, cell,
-        net::IpAddress(kCellBase + static_cast<std::uint32_t>(j) * 256 + 1),
-        24);
+    const net::IpAddress agent(kCellBase +
+                               static_cast<std::uint32_t>(j) * 256 + 1);
+    roles.foreign.push_back({&r, &topo.connect(r, cell, agent, 24)});
     fa_routers.push_back(&r);
     cells.push_back(&cell);
-    fa_cell_ifaces.push_back(&cell_iface);
     cell_shard_.push_back(shard_of_region(region_of_router(idx)));
     region_cells_[static_cast<std::size_t>(region_of_router(idx))].push_back(
         &cell);
@@ -178,112 +180,43 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   // Mobile hosts, homed on the home LAN, initially detached. Mobile i
   // roams region i % movement_regions and lives on that region's shard.
   for (int i = 0; i < options.mobile_hosts; ++i) {
-    core::MobileHostConfig config;
-    config.home_agent = net::IpAddress(kHomeLanBase + 1);
-    config.update_min_interval = options.protocol.update_min_interval;
     const std::uint32_t shard = shard_of_region(i % regions);
     mobile_shard_.push_back(shard);
-    mobiles.push_back(&topo.add_mobile_host(
-        "M" + std::to_string(i), mobile_address(i), kHomePrefixLength, config,
-        shard));
+    add_mobile_host("M" + std::to_string(i), mobile_address(i), ha_iface,
+                    shard);
   }
 
-  for (const auto& node : topo.nodes()) {
-    node->set_icmp_quote_limit(options.protocol.icmp_quote_limit);
-  }
+  install(roles);
 
-  topo.install_static_routes();
-
-  if (options.protocol.routing == routing::dv::Mode::kDv) {
-    // Per-process jitter seeds come from a dedicated stream so turning
-    // DV on cannot perturb the movement/workload draws from topo.rng().
-    util::Rng dv_seeds(options.protocol.seed ^ 0x64767274ULL);
-    route_change_lanes_.assign(static_cast<std::size_t>(topo.shard_count()),
-                               {});
-    dv_processes.reserve(routers.size());
-    for (std::size_t r = 0; r < routers.size(); ++r) {
-      auto process = std::make_unique<routing::dv::DvProcess>(
-          *routers[r], options.protocol.dv,
-          dv_seeds.uniform(0, std::numeric_limits<std::uint64_t>::max() - 1));
-      // Route-change instants feed the convergence series; the hook
-      // fires on the router's own shard, so each lane has one writer.
-      process->on_route_change = [this, r](const net::Prefix&, int) {
-        record_series(route_change_lanes_, static_cast<std::uint32_t>(r),
-                      sim::to_seconds(topo.sim().now()));
-      };
-      // The counting-to-infinity detector files an audit violation; the
-      // audit layer is a single-threaded instrument (like the packet
-      // auditor attached below), so sharded runs keep only the counter.
-      if (options.shards == 0) {
-        process->on_counting_to_infinity = [this, r](const net::Prefix& prefix,
-                                                     int metric) {
-          analysis::PacketAuditor& auditor = audit::global_auditor();
-          if (!auditor.registry().enabled(
-                  analysis::InvariantId::kCountingToInfinity)) {
-            return;
-          }
-          auditor.report().add(
-              {analysis::InvariantId::kCountingToInfinity, 0, topo.sim().now(),
-               routers[r]->name(),
-               "metric for " + prefix.to_string() +
-                   " rose repeatedly from the same next hop (now " +
-                   std::to_string(metric) + ")"});
-        };
+  route_change_lanes_.assign(static_cast<std::size_t>(topo.shard_count()),
+                             {});
+  for (std::size_t r = 0; r < dv_processes.size(); ++r) {
+    routing::dv::DvProcess& process = *dv_processes[r];
+    // Route-change instants feed the convergence series; the hook fires
+    // on the router's own shard, so each lane has one writer.
+    process.on_route_change = [this, r](const net::Prefix&, int) {
+      record_series(route_change_lanes_, static_cast<std::uint32_t>(r),
+                    sim::to_seconds(topo.sim().now()));
+    };
+    // The counting-to-infinity detector files an audit violation; the
+    // audit layer is a single-threaded instrument, so sharded runs keep
+    // only the counter.
+    if (options.shards != 0) continue;
+    process.on_counting_to_infinity = [this, r](const net::Prefix& prefix,
+                                                int metric) {
+      analysis::PacketAuditor& auditor = audit::global_auditor();
+      if (!auditor.registry().enabled(
+              analysis::InvariantId::kCountingToInfinity)) {
+        return;
       }
-      process->start();
-      dv_processes.push_back(std::move(process));
-    }
+      auditor.report().add(
+          {analysis::InvariantId::kCountingToInfinity, 0, topo.sim().now(),
+           routers[r]->name(),
+           "metric for " + prefix.to_string() +
+               " rose repeatedly from the same next hop (now " +
+               std::to_string(metric) + ")"});
+    };
   }
-
-  core::AgentConfig ha_config;
-  ha_config.home_agent = true;
-  ha_config.cache_agent = true;
-  ha_config.advertisement_period = options.protocol.advertisement_period;
-  ha_config.max_list_length = options.protocol.max_list_length;
-  ha_config.forwarding_pointers = options.protocol.forwarding_pointers;
-  ha_config.update_min_interval = options.protocol.update_min_interval;
-  ha = std::make_unique<core::MhrpAgent>(*home_router, ha_config);
-  ha->serve_on(ha_iface);
-  if (options.protocol.store.enabled) {
-    // Attach the disk before provisioning so every row ever created is
-    // in the log from the start.
-    ha_store = std::make_unique<store::HomeStore>(home_router->sim(),
-                                                  options.protocol.store);
-    ha->attach_store(*ha_store);
-  }
-  for (int i = 0; i < options.mobile_hosts; ++i) {
-    ha->provision_mobile_host(mobile_address(i));
-  }
-  ha->start_advertising();
-
-  for (int j = 0; j < options.foreign_agents; ++j) {
-    core::AgentConfig fa_config;
-    fa_config.foreign_agent = true;
-    fa_config.cache_agent = true;
-    fa_config.advertisement_period = options.protocol.advertisement_period;
-    fa_config.max_list_length = options.protocol.max_list_length;
-    fa_config.forwarding_pointers = options.protocol.forwarding_pointers;
-    fa_config.update_min_interval = options.protocol.update_min_interval;
-    auto agent = std::make_unique<core::MhrpAgent>(
-        *fa_routers[static_cast<std::size_t>(j)], fa_config);
-    agent->serve_on(*fa_cell_ifaces[static_cast<std::size_t>(j)]);
-    agent->start_advertising();
-    fas.push_back(std::move(agent));
-  }
-
-  // Correspondents cache locations for their own traffic (§2: any node
-  // talking to mobile hosts "should generally also function as a cache
-  // agent").
-  for (node::Host* host : correspondents) {
-    core::AgentConfig ca_config;
-    ca_config.cache_agent = true;
-    ca_config.update_min_interval = options.protocol.update_min_interval;
-    corr_agents.push_back(std::make_unique<core::MhrpAgent>(*host, ca_config));
-  }
-
-  // The audit layer's global observer reads every link from every shard;
-  // it stays a single-threaded instrument.
-  if (options.shards == 0) audit::auto_attach(topo);
 
   if (sim::ShardedExecutive* sharded = topo.sharded_executive()) {
     // Lookahead = the narrowest latency any cross-shard frame pays, the
@@ -307,11 +240,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
 
 void ScaleWorld::bind_instruments() {
   telemetry::MetricRegistry& reg = instruments.registry;
-  bind_agent_probes(reg, "ha", *ha);
-  bind_agent_aggregate_probes(reg, "fa", fas);
-  bind_agent_aggregate_probes(reg, "ca", corr_agents);
-  bind_mobile_probes(reg, "mobiles", mobiles);
-  if (ha_store) bind_store_probes(reg, "store", *ha_store);
+  bind_role_probes(reg);
   reg.probe("mobiles.delivered", [this] {
     std::uint64_t total = 0;
     for (const auto& r : recorders_) total += r->total().received;
@@ -657,22 +586,6 @@ ScaleRunStats ScaleWorld::run_for(sim::Time duration) {
   delta.registrations = totals.registrations - last_totals_.registrations;
   last_totals_ = totals;
   return delta;
-}
-
-std::size_t ScaleWorld::total_agent_state() const {
-  std::size_t total = ha->home_database_size() + ha->cache().size();
-  for (const auto& fa : fas) total += fa->visiting_count() + fa->cache().size();
-  for (const auto& ca : corr_agents) total += ca->cache().size();
-  return total;
-}
-
-std::size_t ScaleWorld::busiest_node_state() const {
-  std::size_t busiest = ha->home_database_size() + ha->cache().size();
-  for (const auto& fa : fas) {
-    busiest = std::max(busiest, fa->visiting_count() + fa->cache().size());
-  }
-  for (const auto& ca : corr_agents) busiest = std::max(busiest, ca->cache().size());
-  return busiest;
 }
 
 std::vector<ScaleWorld::SeriesEntry>& ScaleWorld::lane(

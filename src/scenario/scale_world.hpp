@@ -13,14 +13,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/agent.hpp"
 #include "faults/fault_plane.hpp"
-#include "routing/dv/dv_process.hpp"
+#include "scenario/deployment.hpp"
 #include "scenario/metrics.hpp"
-#include "store/home_store.hpp"
-#include "scenario/protocol_options.hpp"
 #include "scenario/telemetry_hooks.hpp"
-#include "scenario/topology.hpp"
 #include "scenario/workload.hpp"
 
 namespace mhrp::scenario {
@@ -98,12 +94,11 @@ struct ScaleRunStats {
   std::uint64_t registrations = 0;  // completed mobile registrations
 };
 
-class ScaleWorld {
+class ScaleWorld : public MhrpDeployment {
  public:
   explicit ScaleWorld(ScaleWorldOptions options = ScaleWorldOptions());
   ~ScaleWorld();
 
-  Topology topo;
   ScaleWorldOptions options;
 
   /// Metric registry (always bound — probes over every agent, the mobile
@@ -115,23 +110,11 @@ class ScaleWorld {
 
   node::Router* home_router = nullptr;
   net::Link* home_lan = nullptr;
-  std::vector<node::Router*> routers;     // all N backbone routers
+  std::vector<node::Router*> routers;  // all N, indexed like dv_processes
   std::vector<node::Router*> fa_routers;  // the F hosting foreign agents
   std::vector<net::Link*> backbone_links;  // the /30 circuits, in build order
   std::vector<net::Link*> cells;
-  std::vector<core::MobileHost*> mobiles;
   std::vector<node::Host*> correspondents;
-
-  std::unique_ptr<core::MhrpAgent> ha;
-  /// The HA's durable database, present when protocol.store.enabled.
-  std::unique_ptr<store::HomeStore> ha_store;
-  std::vector<std::unique_ptr<core::MhrpAgent>> fas;
-  std::vector<std::unique_ptr<core::MhrpAgent>> corr_agents;
-  /// One DV routing process per backbone router (aligned with
-  /// `routers`), populated only under protocol.routing == Mode::kDv.
-  /// Started at construction; their triggered/periodic timers live on
-  /// each router's shard.
-  std::vector<std::unique_ptr<routing::dv::DvProcess>> dv_processes;
 
   [[nodiscard]] net::IpAddress mobile_address(int i) const;
 
@@ -191,13 +174,6 @@ class ScaleWorld {
   [[nodiscard]] std::uint64_t flow_id(int mobile) const {
     return flows_[static_cast<std::size_t>(mobile)]->flow_id();
   }
-
-  /// Total agent control state (HA database rows + FA visiting entries +
-  /// cache entries) — the §3 "scales linearly" quantity.
-  [[nodiscard]] std::size_t total_agent_state() const;
-  /// Control state at the busiest single node (§7: no node's burden grows
-  /// with the whole internetwork's mobile population).
-  [[nodiscard]] std::size_t busiest_node_state() const;
 
   /// Deterministic textual digest of everything observable after a run:
   /// node counters, link totals, the metric-registry snapshot (agent,

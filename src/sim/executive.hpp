@@ -134,8 +134,4 @@ class Executive {
   virtual void set_profiler(EventLoopProfiler* profiler) = 0;
 };
 
-/// Transitional name from the PR that introduced the interface; every
-/// in-tree caller says sim::Executive. Removed after one release.
-using SimulatorApi [[deprecated("use sim::Executive")]] = Executive;
-
 }  // namespace mhrp::sim

@@ -127,7 +127,7 @@ TEST(Figure1, MoveWithoutForwardingPointerFallsBackToHomeAgent) {
   // §6.3 second case: R4 has no cached location → it tunnels to M's home
   // address; the home agent re-tunnels to R5 and updates both S and R4.
   Figure1Options options;
-  options.forwarding_pointers = false;
+  options.protocol.forwarding_pointers = false;
   Figure1 w(options);
   ASSERT_TRUE(w.register_at_d());
   bool warm = false;

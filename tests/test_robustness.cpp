@@ -79,66 +79,71 @@ TEST(Robustness, FaRebootRecoversThroughHomeAgentUpdate) {
   EXPECT_TRUE(second);
 }
 
-TEST(Robustness, FaRebootWithArpVerification) {
-  Figure1Options options;
-  Figure1 w(options);
-  // Rebuild R4's agent config with ARP verification on.
-  core::AgentConfig config = w.fa_r4->config();
-  (void)config;
-  // (The option is exercised through a fresh world below.)
+// With protocol.fa_verify_recovery_with_arp, a rebooted R4 believes the
+// home agent's recovery update only if M answers an ARP query on cell D.
+// Registers M at D and warms S's cache, lets M leave D silently when
+// `m_departs`, reboots R4, and lets S's next ping draw the update.
+void reboot_r4_under_arp_verification(Figure1& w, bool m_departs) {
   ASSERT_TRUE(w.register_at_d());
+  bool warm = false;
+  w.s->ping(w.m_address(),
+            [&](const node::Host::PingResult& r) { warm = r.replied; });
+  w.topo.sim().run_for(sim::seconds(10));
+  ASSERT_TRUE(warm);
+
+  if (m_departs) w.m->detach();
   w.fa_r4->reboot();
-  // Deliver the recovery update by hand (what the HA would send).
-  w.fa_r4->node().send_ip([&] {
-    net::IpHeader h;
-    h.protocol = net::to_u8(net::IpProto::kIcmp);
-    h.src = ip("10.2.0.1");
-    h.dst = ip("10.4.0.1");
-    return net::Packet(h, net::encode_icmp(net::IcmpLocationUpdate{
-                              w.m_address(), ip("10.4.0.1"), false}));
-  }());
+  ASSERT_FALSE(w.fa_r4->is_visiting(w.m_address()));
+  w.s->ping(w.m_address(), [](const node::Host::PingResult&) {}, 32,
+            sim::seconds(3));
   w.topo.sim().run_for(sim::seconds(5));
+  // The update did arrive: the HA discarded the bounced ping for it.
+  EXPECT_GE(w.ha->stats().discarded_for_recovery, 1u);
+}
+
+Figure1Options verify_recovery_with_arp() {
+  Figure1Options options;
+  options.protocol.fa_verify_recovery_with_arp = true;
+  return options;
+}
+
+TEST(Robustness, FaRebootWithArpVerification) {
+  // M is still on D, answers the query, and is re-added.
+  Figure1 w(verify_recovery_with_arp());
+  ASSERT_NO_FATAL_FAILURE(
+      reboot_r4_under_arp_verification(w, /*m_departs=*/false));
+  EXPECT_EQ(w.fa_r4->stats().recovery_readds, 1u);
   EXPECT_TRUE(w.fa_r4->is_visiting(w.m_address()));
+}
+
+TEST(Robustness, ArpVerifiedRecoveryIgnoresADepartedHost) {
+  // R4's ARP entry for M was learned before the reboot, and neither a
+  // reboot nor time clears it; only a fresh answer may count, so R4 must
+  // not re-add the departed M.
+  Figure1 w(verify_recovery_with_arp());
+  ASSERT_NO_FATAL_FAILURE(
+      reboot_r4_under_arp_verification(w, /*m_departs=*/true));
+  EXPECT_EQ(w.fa_r4->stats().recovery_readds, 0u);
+  EXPECT_FALSE(w.fa_r4->is_visiting(w.m_address()));
 }
 
 TEST(Robustness, FaRebootBroadcastSpeedsReregistration) {
   // §5.2 optional speedup: the rebooted FA broadcasts a re-register
-  // query; M re-registers without waiting for data-path repair.
-  Figure1Options options;
-  Figure1 w(options);
-  ASSERT_TRUE(w.register_at_d());
-
-  // Enable broadcast-on-reboot by rebuilding R4's agent config: simplest
-  // is to flip the flag through a const_cast-free path — rebuild world
-  // config instead. Here we emulate by calling reboot() on an agent
-  // constructed with the flag.
-  core::AgentConfig fa_config;
-  fa_config.foreign_agent = true;
-  fa_config.cache_agent = true;
-  fa_config.reregister_broadcast_on_reboot = true;
-  // A second agent object on R4 would double-register hooks; instead
-  // verify the protocol piece directly: broadcast the query and watch M
-  // re-register.
-  std::uint64_t regs_before = w.m->stats().registrations_completed;
-  core::RegMessage query{core::RegKind::kReconnectQuery, net::kUnspecified,
-                         net::kUnspecified, 0};
-  auto bytes = query.encode();
-  auto* cell_iface = w.r4->interface_named("eth1");
-  ASSERT_NE(cell_iface, nullptr);
-  // Limited broadcast, as the agent's reboot path sends it (a visiting
-  // host would not recognize the foreign subnet's directed broadcast).
-  net::IpHeader h;
-  h.protocol = net::to_u8(net::IpProto::kUdp);
-  h.src = cell_iface->ip();
-  h.dst = net::kBroadcast;
-  h.ttl = 1;
-  w.r4->send_ip_on(*cell_iface,
-                   net::Packet(h, net::encode_udp({core::kRegistrationPort,
-                                                   core::kRegistrationPort},
-                                                  bytes)),
-                   net::kBroadcast);
-  w.topo.sim().run_for(sim::seconds(10));
-  EXPECT_GT(w.m->stats().registrations_completed, regs_before);
+  // query on its cell, and M re-registers with no traffic to repair the
+  // data path. Without the option nothing prompts M to.
+  auto reregisters_after_reboot = [](bool broadcast) {
+    Figure1Options options;
+    options.protocol.fa_reregister_broadcast_on_reboot = broadcast;
+    Figure1 w(options);
+    EXPECT_TRUE(w.register_at_d());
+    const std::uint64_t before = w.m->stats().registrations_completed;
+    w.fa_r4->reboot();
+    w.topo.sim().run_for(sim::seconds(5));
+    return w.m->stats().registrations_completed == before + 1 &&
+           w.fa_r4->is_visiting(w.m_address());
+  };
+  EXPECT_TRUE(reregisters_after_reboot(true));
+  EXPECT_FALSE(reregisters_after_reboot(false));
 }
 
 // ---- §5.3 loop detection ----
@@ -325,7 +330,7 @@ struct ErrorWorld {
   explicit ErrorWorld(std::size_t quote_limit)
       : w([&] {
           Figure1Options options;
-          options.icmp_quote_limit = quote_limit;
+          options.protocol.icmp_quote_limit = quote_limit;
           return options;
         }()) {}
 };
