@@ -102,7 +102,8 @@ Measurement run(int chain, int spur_depth) {
   core::MhrpAgent sender_agent(corr, ca_config);
 
   bool registered = false;
-  m.on_registered = [&registered] { registered = true; };
+  const util::Subscription subscription =
+      m.on_registered.add([&registered] { registered = true; });
   m.attach_to(cell);
   for (int spin = 0; spin < 300 && !registered; ++spin) {
     topo.sim().run_for(sim::millis(100));

@@ -150,7 +150,7 @@ void MhrpAgent::set_home_binding(IpAddress mobile_host, IpAddress fa,
   const bool was_away = !home_db_.foreign_agent(row).is_unspecified();
   const bool now_away = !fa.is_unspecified();
   home_db_.set_foreign_agent(row, fa);
-  if (on_binding_changed) on_binding_changed(mobile_host, fa);
+  on_binding_changed(mobile_host, fa);
   // Without a presence on the host's own subnet (the §3 domain-coverage
   // deployment), interception happens via host-specific routes instead
   // of ARP games; nothing link-layer to do here. A passive replica keeps

@@ -36,6 +36,7 @@
 #include "store/home_store.hpp"
 #include "telemetry/trace.hpp"
 #include "util/annotations.hpp"
+#include "util/hooks.hpp"
 
 namespace mhrp::core {
 
@@ -222,12 +223,12 @@ class MhrpAgent {
                             net::IpAddress foreign_agent,
                             bool invalidate = false);
 
-  /// Fired whenever the home database binding for a mobile host changes
-  /// (new FA, returned home with FA zero, or detached). The §3
-  /// domain-coverage extension uses this to advertise/withdraw
-  /// host-specific routes (see core/domain_coverage.hpp).
-  std::function<void(net::IpAddress mobile_host, net::IpAddress foreign_agent)>
-      on_binding_changed;
+  /// Fired with (mobile host, foreign agent) whenever the home database
+  /// binding for a mobile host changes (new FA, returned home with FA
+  /// zero, or detached). The §3 domain-coverage extension uses this to
+  /// advertise/withdraw host-specific routes (core/domain_coverage.hpp);
+  /// §2 replication pushes the change to the peer replicas.
+  util::Hooks<net::IpAddress, net::IpAddress> on_binding_changed;
 
  private:
   struct Visitor {

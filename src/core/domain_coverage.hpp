@@ -17,30 +17,30 @@
 
 #include "core/agent.hpp"
 #include "routing/dv/dv_process.hpp"
+#include "util/hooks.hpp"
 
 namespace mhrp::core {
 
 class DomainCoverage {
  public:
   /// `agent` must be a home agent on the same node that runs `dv`.
-  /// Overwrites the agent's on_binding_changed hook.
-  DomainCoverage(MhrpAgent& agent, routing::dv::DvProcess& dv)
-      : agent_(agent), dv_(dv) {
-    agent_.on_binding_changed = [this](net::IpAddress mobile_host,
-                                       net::IpAddress foreign_agent) {
-      const bool away = !foreign_agent.is_unspecified();
-      dv_.advertise_host_route(mobile_host, away);
-      if (away) {
-        ++routes_advertised_;
-      } else {
-        ++routes_withdrawn_;
-      }
-    };
+  /// Subscribes to the agent's on_binding_changed alongside any other
+  /// observer (e.g. an HaReplicator); destruction detaches it.
+  DomainCoverage(MhrpAgent& agent, routing::dv::DvProcess& dv) : dv_(dv) {
+    subscription_ = agent.on_binding_changed.add(
+        [this](net::IpAddress mobile_host, net::IpAddress foreign_agent) {
+          const bool away = !foreign_agent.is_unspecified();
+          dv_.advertise_host_route(mobile_host, away);
+          if (away) {
+            ++routes_advertised_;
+          } else {
+            ++routes_withdrawn_;
+          }
+        });
   }
 
   DomainCoverage(const DomainCoverage&) = delete;
   DomainCoverage& operator=(const DomainCoverage&) = delete;
-  ~DomainCoverage() { agent_.on_binding_changed = nullptr; }
 
   [[nodiscard]] std::uint64_t routes_advertised() const {
     return routes_advertised_;
@@ -50,10 +50,10 @@ class DomainCoverage {
   }
 
  private:
-  MhrpAgent& agent_;
   routing::dv::DvProcess& dv_;
   std::uint64_t routes_advertised_ = 0;
   std::uint64_t routes_withdrawn_ = 0;
+  util::Subscription subscription_;
 };
 
 }  // namespace mhrp::core

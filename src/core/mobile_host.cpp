@@ -80,7 +80,7 @@ void MobileHost::attach_to(net::Link& link) {
   }
   current_agent_ = net::kUnspecified;
   link.attach(*radio_);
-  if (on_attached) on_attached();
+  on_attached();
   start_discovery();
 }
 
@@ -367,7 +367,7 @@ void MobileHost::on_registration_udp(const net::UdpDatagram& datagram,
                                                         : current_agent_);
       }
       ++stats_.registrations_completed;
-      if (on_registered) on_registered();
+      on_registered();
       break;
     }
     case RegKind::kDisconnectAck:

@@ -21,7 +21,6 @@
 //    agent" (§2).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 
@@ -31,6 +30,7 @@
 #include "node/host.hpp"
 #include "sim/timer.hpp"
 #include "telemetry/trace.hpp"
+#include "util/hooks.hpp"
 #include "util/rng.hpp"
 
 namespace mhrp::core {
@@ -140,12 +140,12 @@ class MobileHost : public node::Host {
 
   /// Fired whenever a registration round completes (state becomes kHome
   /// or kForeign).
-  std::function<void()> on_registered;
+  util::Hooks<> on_registered;
 
   /// Fired at the instant attach_to() switches cells, before discovery
   /// starts — the "radio heard the new transceiver" moment a handoff
   /// latency measurement starts from (scenario::ScaleWorld uses this).
-  std::function<void()> on_attached;
+  util::Hooks<> on_attached;
 
  private:
   struct Outstanding {

@@ -55,10 +55,10 @@ HaReplicator::HaReplicator(MhrpAgent& agent, std::vector<IpAddress> peers,
                        [this] { heartbeat(); }),
       peer_lifetime_(agent.node().sim(), [this] { peer_timeout(); }) {
   agent_.set_passive(!active_);
-  agent_.on_binding_changed = [this](IpAddress mobile_host,
-                                     IpAddress foreign_agent) {
-    if (!applying_remote_) broadcast_binding(mobile_host, foreign_agent);
-  };
+  binding_subscription_ = agent_.on_binding_changed.add(
+      [this](IpAddress mobile_host, IpAddress foreign_agent) {
+        if (!applying_remote_) broadcast_binding(mobile_host, foreign_agent);
+      });
   agent_.node().bind_udp(kReplicationPort,
                          [this](const net::UdpDatagram& d,
                                 const net::IpHeader& h, net::Interface&) {
@@ -66,10 +66,7 @@ HaReplicator::HaReplicator(MhrpAgent& agent, std::vector<IpAddress> peers,
                          });
 }
 
-HaReplicator::~HaReplicator() {
-  agent_.on_binding_changed = nullptr;
-  agent_.node().unbind_udp(kReplicationPort);
-}
+HaReplicator::~HaReplicator() { agent_.node().unbind_udp(kReplicationPort); }
 
 void HaReplicator::start() {
   heartbeat();

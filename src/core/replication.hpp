@@ -19,6 +19,7 @@
 
 #include "core/agent.hpp"
 #include "sim/timer.hpp"
+#include "util/hooks.hpp"
 
 namespace mhrp::core {
 
@@ -84,6 +85,7 @@ class HaReplicator {
   std::uint64_t bindings_replicated_ = 0;
   std::uint64_t takeovers_ = 0;
   std::uint64_t stepdowns_ = 0;
+  util::Subscription binding_subscription_;
 };
 
 }  // namespace mhrp::core

@@ -76,13 +76,13 @@ void Node::fail() {
     }
     st.pending.clear();
   }
-  if (on_state_changed) on_state_changed(false);
+  on_state_changed(false);
 }
 
 void Node::recover() {
   if (up_) return;
   up_ = true;
-  if (on_state_changed) on_state_changed(true);
+  on_state_changed(true);
 }
 
 // ---- Sending ----
@@ -378,7 +378,7 @@ void Node::forward(Packet packet, Interface& in_iface) {
   }
 
   ++counters_.forwarded;
-  if (on_forward_hook) on_forward_hook(packet, *route->iface);
+  on_forward_hook(packet, *route->iface);
   transmit(*route->iface, std::move(packet), next_hop);
 }
 
@@ -387,7 +387,7 @@ void Node::deliver_local(Packet& packet, Interface& iface) {
     if (interceptor(packet, iface) == Intercept::kConsumed) return;
   }
   ++counters_.delivered_local;
-  if (on_deliver_hook) on_deliver_hook(packet);
+  on_deliver_hook(packet);
 
   const auto proto = packet.header().protocol;
   if (proto == net::to_u8(IpProto::kIcmp)) {

@@ -35,6 +35,7 @@
 #include "net/udp.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/executive.hpp"
+#include "util/hooks.hpp"
 
 namespace mhrp::node {
 
@@ -211,15 +212,15 @@ class Node : public net::FrameSink {
   void recover();
   [[nodiscard]] bool is_up() const { return up_; }
 
-  /// Fired from fail()/recover() with the new state — the node-side
-  /// mirror of net::LinkObserver::on_state_changed.
-  std::function<void(bool up)> on_state_changed;
+  /// Fired from fail()/recover() with the new state (true = up) — the
+  /// node-side mirror of net::LinkObserver::on_state_changed.
+  util::Hooks<bool> on_state_changed;
 
-  /// Fired when the link attached to one of this node's interfaces
-  /// changes carrier state (fault plane fail/recover). The routing::dv
-  /// process chains itself here to withdraw routes learned through a
-  /// dead link and re-advertise on recovery.
-  std::function<void(net::Interface& iface, bool up)> on_interface_state;
+  /// Fired with (interface, up) when the link attached to one of this
+  /// node's interfaces changes carrier state (fault plane fail/recover).
+  /// The routing::dv process subscribes here to withdraw routes learned
+  /// through a dead link and re-advertise on recovery.
+  util::Hooks<net::Interface&, bool> on_interface_state;
 
   // ---- Counters & hooks ----
 
@@ -237,14 +238,16 @@ class Node : public net::FrameSink {
   [[nodiscard]] const Counters& counters() const { return counters_; }
   Counters& mutable_counters() { return counters_; }
 
-  /// Metrics hooks (scenario layer). Null by default.
-  std::function<void(const net::Packet&)> on_deliver_hook;
-  std::function<void(const net::Packet&, net::Interface&)> on_forward_hook;
+  /// Observer hooks (scenario layer: FlowRecorder, Tracer): every
+  /// datagram delivered locally, and every forwarded datagram with its
+  /// outgoing interface.
+  util::Hooks<const net::Packet&> on_deliver_hook;
+  util::Hooks<const net::Packet&, net::Interface&> on_forward_hook;
 
   // ---- FrameSink ----
   void on_frame(net::Interface& iface, net::Frame frame) override;
   void on_link_state(net::Interface& iface, bool up) override {
-    if (on_interface_state) on_interface_state(iface, up);
+    on_interface_state(iface, up);
   }
 
  private:

@@ -50,27 +50,17 @@ DvProcess::DvProcess(node::Node& node, Options options,
                                const net::IpHeader& h, net::Interface& i) {
     on_update(d, h, i);
   });
-  // Chain (not clobber) the node's lifecycle hooks; the destructor
-  // restores them, so processes must be destroyed in reverse
-  // construction order — which scenario worlds, owning them in vectors
-  // alongside the nodes, already do.
-  chained_state_hook_ = node_.on_state_changed;
-  node_.on_state_changed = [this](bool up) {
-    if (chained_state_hook_) chained_state_hook_(up);
-    handle_node_state(up);
-  };
-  chained_iface_hook_ = node_.on_interface_state;
-  node_.on_interface_state = [this](net::Interface& iface, bool up) {
-    if (chained_iface_hook_) chained_iface_hook_(iface, up);
-    handle_link_state(iface, up);
-  };
+  node_state_ = node_.on_state_changed.add(
+      [this](bool up) { handle_node_state(up); });
+  link_state_ = node_.on_interface_state.add(
+      [this](net::Interface& iface, bool up) {
+        handle_link_state(iface, up);
+      });
 }
 
 DvProcess::~DvProcess() {
   stop();
   node_.unbind_udp(kPort);
-  node_.on_state_changed = std::move(chained_state_hook_);
-  node_.on_interface_state = std::move(chained_iface_hook_);
 }
 
 void DvProcess::start() {

@@ -36,6 +36,7 @@
 #include "node/node.hpp"
 #include "routing/dv/dv_options.hpp"
 #include "sim/timer.hpp"
+#include "util/hooks.hpp"
 #include "util/rng.hpp"
 
 namespace mhrp::routing::dv {
@@ -91,8 +92,8 @@ class DvProcess {
 
   /// React to the attached link of `iface` going down (poison every
   /// route learned through it, withdraw them from the forwarding table,
-  /// schedule a triggered update) or up (re-advertise). Wired
-  /// automatically through node::Node::on_interface_state.
+  /// schedule a triggered update) or up (re-advertise). Subscribed
+  /// automatically to node::Node::on_interface_state.
   void handle_link_state(net::Interface& iface, bool up);
 
   [[nodiscard]] const DvStats& stats() const { return stats_; }
@@ -153,9 +154,9 @@ class DvProcess {
   /// Withdrawn host routes still being poisoned; value = rounds left.
   std::map<net::IpAddress, int> withdrawing_;
   DvStats stats_;
-  std::function<void(bool)> chained_state_hook_;
-  std::function<void(net::Interface&, bool)> chained_iface_hook_;
   bool running_ = false;
+  util::Subscription node_state_;  // node_.on_state_changed
+  util::Subscription link_state_;  // node_.on_interface_state
 };
 
 }  // namespace mhrp::routing::dv

@@ -97,13 +97,13 @@ void MhrpDeployment::install(const Roles& roles) {
 bool MhrpDeployment::attach_and_register(core::MobileHost& mobile,
                                          net::Link& cell, sim::Time limit) {
   bool registered = false;
-  mobile.on_registered = [&registered] { registered = true; };
+  const util::Subscription subscription =
+      mobile.on_registered.add([&registered] { registered = true; });
   mobile.attach_to(cell);
   const sim::Time deadline = topo.sim().now() + limit;
   while (!registered && topo.sim().now() < deadline) {
     topo.sim().run_for(sim::millis(100));
   }
-  mobile.on_registered = nullptr;
   return registered;
 }
 

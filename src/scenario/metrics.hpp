@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "node/node.hpp"
+#include "util/hooks.hpp"
 
 namespace mhrp::scenario {
 
@@ -90,19 +91,15 @@ struct FlowStats {
 
 class FlowRecorder {
  public:
-  /// Start recording deliveries at `receiver`. Chains any hook already
-  /// installed (a Tracer, another recorder): the previous hook runs after
-  /// this one, so attaching a recorder never silently disconnects other
-  /// observers.
+  /// Start recording deliveries at `receiver`, alongside any other
+  /// observer (a Tracer, another recorder). Destroying the recorder
+  /// detaches it; it must not outlive `receiver`.
   explicit FlowRecorder(node::Node& receiver) {
-    auto previous = std::move(receiver.on_deliver_hook);
-    receiver.on_deliver_hook = [this, &receiver,
-                                previous = std::move(previous)](
-                                   const net::Packet& p) {
-      record(receiver, p);
-      if (previous) previous(p);
-    };
+    subscription_ = receiver.on_deliver_hook.add(
+        [this, &receiver](const net::Packet& p) { record(receiver, p); });
   }
+  FlowRecorder(const FlowRecorder&) = delete;
+  FlowRecorder& operator=(const FlowRecorder&) = delete;
 
   [[nodiscard]] const FlowStats& flow(std::uint64_t flow_id) const {
     static const FlowStats kEmpty;
@@ -145,6 +142,7 @@ class FlowRecorder {
   std::map<std::uint64_t, FlowStats> flows_;
   FlowStats total_;
   std::function<bool(const net::Packet&)> filter_;
+  util::Subscription subscription_;
 };
 
 }  // namespace mhrp::scenario

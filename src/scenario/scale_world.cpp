@@ -188,15 +188,13 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
 
   install(roles);
 
-  route_change_lanes_.assign(static_cast<std::size_t>(topo.shard_count()),
-                             {});
   for (std::size_t r = 0; r < dv_processes.size(); ++r) {
     routing::dv::DvProcess& process = *dv_processes[r];
     // Route-change instants feed the convergence series; the hook fires
     // on the router's own shard, so each lane has one writer.
     process.on_route_change = [this, r](const net::Prefix&, int) {
-      record_series(route_change_lanes_, static_cast<std::uint32_t>(r),
-                    sim::to_seconds(topo.sim().now()));
+      route_changes_.record(static_cast<std::uint32_t>(r),
+                            sim::to_seconds(topo.sim().now()));
     };
     // The counting-to-infinity detector files an audit violation; the
     // audit layer is a single-threaded instrument, so sharded runs keep
@@ -251,13 +249,20 @@ void ScaleWorld::bind_instruments() {
   reg.probe("world.agent_state_busiest",
             [this] { return static_cast<double>(busiest_node_state()); });
   if (!dv_processes.empty()) bind_dv_probes(reg, "dv", dv_processes);
-  handoff_latency_h_ = &reg.histogram("handoff.latency_s");
-  recovery_time_h_ = &reg.histogram("recovery.time_s");
-  outage_loss_h_ = &reg.histogram("outage.loss_pkts");
-  binding_staleness_h_ = &reg.histogram("binding.staleness_s");
-  ha_lost_bindings_h_ = &reg.histogram("ha.lost_bindings");
-  ha_recovery_h_ = &reg.histogram("ha.recovery_s");
-  convergence_h_ = &reg.histogram("routing.convergence_s");
+  // Series histograms are rebuilt from the canonical merge at every
+  // snapshot: live recording from worker shards would race, and its
+  // float-sum order would depend on the interleaving.
+  reg.histogram_probe("handoff.latency_s",
+                      [this] { return handoff_latencies(); });
+  reg.histogram_probe("recovery.time_s", [this] { return recovery_times(); });
+  reg.histogram_probe("outage.loss_pkts", [this] { return outage_losses(); });
+  reg.histogram_probe("binding.staleness_s",
+                      [this] { return binding_staleness(); });
+  reg.histogram_probe("ha.lost_bindings",
+                      [this] { return ha_lost_bindings(); });
+  reg.histogram_probe("ha.recovery_s", [this] { return ha_recovery_times(); });
+  reg.histogram_probe("routing.convergence_s",
+                      [this] { return convergence_times(); });
 }
 
 ScaleWorld::~ScaleWorld() {
@@ -278,26 +283,24 @@ void ScaleWorld::start() {
   started_ = true;
 
   attach_times_.assign(mobiles.size(), sim::Time(-1));
-  const auto lanes = static_cast<std::size_t>(topo.shard_count());
-  handoff_lanes_.assign(lanes, {});
-  recovery_lanes_.assign(lanes, {});
-  outage_loss_lanes_.assign(lanes, {});
+  subscriptions_.reserve(2 * mobiles.size() + 1);
   for (std::size_t i = 0; i < mobiles.size(); ++i) {
     core::MobileHost* m = mobiles[i];
-    m->on_attached = [this, i] { attach_times_[i] = topo.sim().now(); };
-    m->on_registered = [this, i] {
+    subscriptions_.push_back(m->on_attached.add(
+        [this, i] { attach_times_[i] = topo.sim().now(); }));
+    subscriptions_.push_back(m->on_registered.add([this, i] {
       close_recovery(i);
       if (attach_times_[i] < 0) return;
       const double latency =
           sim::to_seconds(topo.sim().now() - attach_times_[i]);
-      record_series(handoff_lanes_, static_cast<std::uint32_t>(i), latency);
+      handoffs_.record(static_cast<std::uint32_t>(i), latency);
       if (telemetry::TraceCollector* trace = instruments.trace()) {
         trace->span(telemetry::TraceCategory::kProtocol, "handoff.rebind",
                     attach_times_[i], topo.sim().now(), "mobile",
                     static_cast<double>(i));
       }
       attach_times_[i] = -1;
-    };
+    }));
 
     // Per-mobile movement, seeded from the world RNG in construction
     // order (deterministic across identically-built worlds).
@@ -397,22 +400,21 @@ void ScaleWorld::arm_chaos() {
   binding_changed_at_.assign(mobiles.size(), 0);
   // Staleness bookkeeping and the binding oracle read per-mobile outage
   // state from the HA's shard; sharded runs skip both (the auditor is
-  // not attached there either), so binding_staleness_ stays empty.
+  // not attached there either), so the staleness series stays empty.
   if (options.shards != 0) return;
-  ha->on_binding_changed = [this](net::IpAddress mobile, net::IpAddress fa) {
-    const std::uint32_t raw = mobile.raw();
-    if (raw < kMobileBase || raw >= kMobileBase + mobiles.size()) return;
-    const auto i = static_cast<std::size_t>(raw - kMobileBase);
-    ha_bindings_[i] = fa;
-    binding_changed_at_[i] = topo.sim().now();
-    if (outages_[i].staleness_start >= 0) {
-      const double staleness =
-          sim::to_seconds(topo.sim().now() - outages_[i].staleness_start);
-      binding_staleness_.push_back(staleness);
-      binding_staleness_h_->record(staleness);
-      outages_[i].staleness_start = -1;
-    }
-  };
+  subscriptions_.push_back(ha->on_binding_changed.add(
+      [this](net::IpAddress mobile, net::IpAddress fa) {
+        const std::uint32_t raw = mobile.raw();
+        if (raw < kMobileBase || raw >= kMobileBase + mobiles.size()) return;
+        const auto i = static_cast<std::size_t>(raw - kMobileBase);
+        ha_bindings_[i] = fa;
+        binding_changed_at_[i] = topo.sim().now();
+        if (outages_[i].staleness_start >= 0) {
+          staleness_.record(0, sim::to_seconds(topo.sim().now() -
+                                               outages_[i].staleness_start));
+          outages_[i].staleness_start = -1;
+        }
+      }));
 
   // §5.2/§6.3 invariant: past the repair window, the home agent must not
   // keep tunneling toward a superseded binding. Only the HA's tunnels
@@ -441,10 +443,10 @@ void ScaleWorld::note_fault(const faults::FaultEvent& event) {
   // Each link fail/recover opens a convergence epoch: the DV plane's
   // route churn that follows, up to the next epoch, is this fault's
   // reconvergence. Link events always execute on the fault plane's own
-  // shard, so the epoch list has a single writer.
+  // shard, so the epoch series has a single writer.
   if (!dv_processes.empty() && (event.kind == FaultKind::kLinkFail ||
                                 event.kind == FaultKind::kLinkRecover)) {
-    fault_epochs_.push_back(topo.sim().now());
+    fault_epochs_.record(0, sim::to_seconds(topo.sim().now()));
   }
   // The home agent is node target ha_target_ (registered after the FAs).
   // Its crash is observed *at the crash* — on_fault fires after the
@@ -491,11 +493,8 @@ void ScaleWorld::note_fault(const faults::FaultEvent& event) {
         }
       }
     }
-    ha_lost_bindings_.push_back(static_cast<double>(lost));
-    ha_lost_bindings_h_->record(static_cast<double>(lost));
-    const double downtime = sim::to_seconds(now - ha_crashed_at_);
-    ha_recovery_times_.push_back(downtime);
-    ha_recovery_h_->record(downtime);
+    ha_lost_bindings_.record(0, static_cast<double>(lost));
+    ha_recoveries_.record(0, sim::to_seconds(now - ha_crashed_at_));
     ha_crashed_at_ = -1;
     return;
   }
@@ -551,12 +550,12 @@ void ScaleWorld::close_recovery(std::size_t i) {
   if (o.recovery_start < 0) return;
   const double elapsed =
       sim::to_seconds(topo.sim().now() - o.recovery_start);
-  record_series(recovery_lanes_, static_cast<std::uint32_t>(i), elapsed);
+  recoveries_.record(static_cast<std::uint32_t>(i), elapsed);
   const double expected = elapsed / sim::to_seconds(options.cbr_interval);
   const double received = static_cast<double>(
       recorders_[i]->total().received - o.received_at_start);
   const double loss = std::max(0.0, expected - received);
-  record_series(outage_loss_lanes_, static_cast<std::uint32_t>(i), loss);
+  outage_losses_.record(static_cast<std::uint32_t>(i), loss);
   o.recovery_start = -1;
 }
 
@@ -588,61 +587,36 @@ ScaleRunStats ScaleWorld::run_for(sim::Time duration) {
   return delta;
 }
 
-std::vector<ScaleWorld::SeriesEntry>& ScaleWorld::lane(
-    SeriesLanes& lanes) const {
-  return lanes[topo.sim().shard_id()];
-}
-
-void ScaleWorld::record_series(SeriesLanes& lanes, std::uint32_t idx,
-                               double v) {
-  lane(lanes).push_back({topo.sim().now(), idx, v});
-}
-
-std::vector<double> ScaleWorld::merge_lanes(const SeriesLanes& lanes) {
-  std::vector<SeriesEntry> all;
-  std::size_t total = 0;
-  for (const auto& l : lanes) total += l.size();
-  all.reserve(total);
-  for (const auto& l : lanes) all.insert(all.end(), l.begin(), l.end());
-  // (time, mobile) is a total order over each series — one entry per
-  // mobile per event time — so the merged view is canonical: the same
-  // protocol history renders identically at every shard count.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const SeriesEntry& a, const SeriesEntry& b) {
-                     return a.t != b.t ? a.t < b.t : a.idx < b.idx;
-                   });
+std::vector<double> ScaleWorld::Series::values() const {
+  std::vector<Entry> all;
+  for (const auto& lane : lanes_) {
+    all.insert(all.end(), lane.begin(), lane.end());
+  }
+  // (time, idx) is a total order over each multi-writer series — one
+  // entry per mobile or router per event time — so the merged view is
+  // canonical: the same protocol history renders identically at every
+  // shard count.
+  std::stable_sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
+    return a.t != b.t ? a.t < b.t : a.idx < b.idx;
+  });
   std::vector<double> out;
   out.reserve(all.size());
-  for (const SeriesEntry& e : all) out.push_back(e.v);
+  for (const Entry& e : all) out.push_back(e.v);
   return out;
 }
 
-const std::vector<double>& ScaleWorld::handoff_latencies() const {
-  handoff_merged_ = merge_lanes(handoff_lanes_);
-  return handoff_merged_;
-}
-
-const std::vector<double>& ScaleWorld::recovery_times() const {
-  recovery_merged_ = merge_lanes(recovery_lanes_);
-  return recovery_merged_;
-}
-
-const std::vector<double>& ScaleWorld::outage_losses() const {
-  outage_loss_merged_ = merge_lanes(outage_loss_lanes_);
-  return outage_loss_merged_;
-}
-
-const std::vector<double>& ScaleWorld::convergence_times() const {
-  convergence_merged_.clear();
-  if (fault_epochs_.empty()) return convergence_merged_;
+std::vector<double> ScaleWorld::convergence_times() const {
+  std::vector<double> times;
+  const std::vector<double> epochs = fault_epochs_.values();
+  if (epochs.empty()) return times;
   // Route-change entries carry their own instant as the value, so the
   // canonical (time, router) merge yields the change instants in
   // ascending order.
-  const std::vector<double> changes = merge_lanes(route_change_lanes_);
-  for (std::size_t k = 0; k < fault_epochs_.size(); ++k) {
-    const double from = sim::to_seconds(fault_epochs_[k]);
-    const double until = k + 1 < fault_epochs_.size()
-                             ? sim::to_seconds(fault_epochs_[k + 1])
+  const std::vector<double> changes = route_changes_.values();
+  for (std::size_t k = 0; k < epochs.size(); ++k) {
+    const double from = epochs[k];
+    const double until = k + 1 < epochs.size()
+                             ? epochs[k + 1]
                              : std::numeric_limits<double>::infinity();
     if (until <= from) continue;  // coincident epochs: one window
     // Last route change inside [from, until) closes this epoch's
@@ -651,24 +625,12 @@ const std::vector<double>& ScaleWorld::convergence_times() const {
     auto lo = std::lower_bound(changes.begin(), changes.end(), from);
     auto hi = std::lower_bound(changes.begin(), changes.end(), until);
     if (lo == hi) continue;
-    convergence_merged_.push_back(*(hi - 1) - from);
+    times.push_back(*(hi - 1) - from);
   }
-  return convergence_merged_;
-}
-
-void ScaleWorld::refresh_series_metrics() const {
-  handoff_latency_h_->reset();
-  for (double v : handoff_latencies()) handoff_latency_h_->record(v);
-  recovery_time_h_->reset();
-  for (double v : recovery_times()) recovery_time_h_->record(v);
-  outage_loss_h_->reset();
-  for (double v : outage_losses()) outage_loss_h_->record(v);
-  convergence_h_->reset();
-  for (double v : convergence_times()) convergence_h_->record(v);
+  return times;
 }
 
 std::string ScaleWorld::metrics_digest() const {
-  refresh_series_metrics();
   std::ostringstream out;
   out << "scaleworld n=" << options.routers << " f=" << options.foreign_agents
       << " m=" << options.mobile_hosts << " seed=" << options.protocol.seed
@@ -702,16 +664,15 @@ std::string ScaleWorld::metrics_digest() const {
     out << fault_plane_->digest();
     series("recovery", recovery_times());
     series("outage_loss", outage_losses());
-    series("staleness", binding_staleness_);
-    series("ha_lost_bindings", ha_lost_bindings_);
-    series("ha_recovery", ha_recovery_times_);
+    series("staleness", binding_staleness());
+    series("ha_lost_bindings", ha_lost_bindings());
+    series("ha_recovery", ha_recovery_times());
   }
   if (!dv_processes.empty()) series("convergence", convergence_times());
   return out.str();
 }
 
 std::string ScaleWorld::metrics_json() const {
-  refresh_series_metrics();
   std::ostringstream out;
   telemetry::JsonWriter json(out);
   json.begin_object();
@@ -749,7 +710,6 @@ std::string ScaleWorld::metrics_json() const {
 }
 
 std::string ScaleWorld::metrics_csv() const {
-  refresh_series_metrics();
   return instruments.registry.snapshot().to_csv();
 }
 

@@ -18,6 +18,7 @@
 #include "scenario/metrics.hpp"
 #include "scenario/telemetry_hooks.hpp"
 #include "scenario/workload.hpp"
+#include "util/hooks.hpp"
 
 namespace mhrp::scenario {
 
@@ -130,7 +131,9 @@ class ScaleWorld : public MhrpDeployment {
   /// order — recorded per shard and merged on a shard-count-independent
   /// key, so the same measurements appear in the same order however many
   /// workers produced them.
-  [[nodiscard]] const std::vector<double>& handoff_latencies() const;
+  [[nodiscard]] std::vector<double> handoff_latencies() const {
+    return handoffs_.values();
+  }
 
   // ---- Chaos (populated only when options.chaos.enabled) ----
 
@@ -141,30 +144,34 @@ class ScaleWorld : public MhrpDeployment {
   /// Seconds from each FA-crash / cell-partition outage to the affected
   /// mobile's next completed registration, in canonical (time, mobile)
   /// order.
-  [[nodiscard]] const std::vector<double>& recovery_times() const;
+  [[nodiscard]] std::vector<double> recovery_times() const {
+    return recoveries_.values();
+  }
   /// CBR packets lost per recovered outage (expected minus received
   /// while the outage was open), aligned with recovery_times().
-  [[nodiscard]] const std::vector<double>& outage_losses() const;
+  [[nodiscard]] std::vector<double> outage_losses() const {
+    return outage_losses_.values();
+  }
   /// Seconds each outage left the home agent forwarding toward a dead
   /// binding, measured from outage start to the HA's binding change.
-  [[nodiscard]] const std::vector<double>& binding_staleness() const {
-    return binding_staleness_;
+  [[nodiscard]] std::vector<double> binding_staleness() const {
+    return staleness_.values();
   }
   /// Time-to-reconverge of the DV plane, one entry per link-fault epoch
   /// that produced route churn: seconds from the link fail/recover to
   /// the LAST DV route change observed anywhere before the next epoch
   /// (canonical (time, router) merge order, like every other series).
   /// Empty under static routing or with chaos disabled.
-  [[nodiscard]] const std::vector<double>& convergence_times() const;
+  [[nodiscard]] std::vector<double> convergence_times() const;
   /// One entry per HA crash: away-bindings present before the crash that
   /// recovery did not restore. All zeros under a durable sync policy;
   /// under kAsync this is the measured cost of acking early.
-  [[nodiscard]] const std::vector<double>& ha_lost_bindings() const {
-    return ha_lost_bindings_;
+  [[nodiscard]] std::vector<double> ha_lost_bindings() const {
+    return ha_lost_bindings_.values();
   }
   /// Seconds each HA crash+recovery took, store mount included.
-  [[nodiscard]] const std::vector<double>& ha_recovery_times() const {
-    return ha_recovery_times_;
+  [[nodiscard]] std::vector<double> ha_recovery_times() const {
+    return ha_recoveries_.values();
   }
 
   /// Delivery statistics at the mobile hosts (per-flow and total).
@@ -202,16 +209,31 @@ class ScaleWorld : public MhrpDeployment {
     std::uint64_t received_at_start = 0;
   };
 
-  /// One measurement in a per-shard series lane: simulated time, a
-  /// shard-count-independent tiebreaker (the mobile index), the value.
-  /// Each lane is written only by its own shard's worker; merging sorts
-  /// on (t, idx), a canonical order no interleaving can perturb.
-  struct SeriesEntry {
-    sim::Time t = 0;
-    std::uint32_t idx = 0;
-    double v = 0.0;
+  /// One measurement series. Each shard appends to its own lane, so a
+  /// lane has one writer; values() merges the lanes on (simulated time,
+  /// idx), a canonical order no interleaving can perturb, so the same
+  /// history reads identically at every shard count. idx is a
+  /// shard-count-independent tiebreaker (a mobile or router index); a
+  /// series with a single writer records idx 0 and so keeps insertion
+  /// order.
+  class Series {
+   public:
+    explicit Series(const sim::Executive& clock)
+        : clock_(&clock), lanes_(clock.shard_count()) {}
+    void record(std::uint32_t idx, double v) {
+      lanes_[clock_->shard_id()].push_back({clock_->now(), idx, v});
+    }
+    [[nodiscard]] std::vector<double> values() const;
+
+   private:
+    struct Entry {
+      sim::Time t = 0;
+      std::uint32_t idx = 0;
+      double v = 0.0;
+    };
+    const sim::Executive* clock_;
+    std::vector<std::vector<Entry>> lanes_;
   };
-  using SeriesLanes = std::vector<std::vector<SeriesEntry>>;
 
   void arm_chaos();
   void bind_instruments();
@@ -220,16 +242,6 @@ class ScaleWorld : public MhrpDeployment {
   /// Start mobile i's outage clocks. Must run on the mobile's shard.
   void open_outage_for_mobile(std::size_t i, sim::Time now);
   void close_recovery(std::size_t i);
-  /// The calling shard's lane (the executive resolves the worker).
-  [[nodiscard]] std::vector<SeriesEntry>& lane(SeriesLanes& lanes) const;
-  void record_series(SeriesLanes& lanes, std::uint32_t idx, double v);
-  [[nodiscard]] static std::vector<double> merge_lanes(
-      const SeriesLanes& lanes);
-  /// Rebuild the lane-backed registry histograms from the canonically
-  /// merged series. Called before every snapshot; live recording from
-  /// worker shards would race and its float-sum order would depend on
-  /// the interleaving.
-  void refresh_series_metrics() const;
 
   std::vector<std::unique_ptr<CbrFlow>> flows_;
   std::vector<std::unique_ptr<MovementSchedule>> schedules_;
@@ -239,45 +251,33 @@ class ScaleWorld : public MhrpDeployment {
   std::vector<std::uint32_t> cell_shard_;    // per cell / foreign site
   std::vector<std::vector<net::Link*>> region_cells_;  // per movement region
   std::uint32_t corr_shard_ = 0;
-  SeriesLanes handoff_lanes_;
-  mutable std::vector<double> handoff_merged_;
   std::unique_ptr<faults::FaultPlane> fault_plane_;
   std::vector<Outage> outages_;  // per mobile, touched on its shard only
-  SeriesLanes recovery_lanes_;
-  SeriesLanes outage_loss_lanes_;
-  mutable std::vector<double> recovery_merged_;
-  mutable std::vector<double> outage_loss_merged_;
-  /// DV route-change instants (entry value = seconds), one lane per
-  /// shard, written from each router's on_route_change on its own shard.
-  SeriesLanes route_change_lanes_;
-  /// Link fail/recover instants, appended by note_fault (which runs on
-  /// the fault plane's shard for link events — a single writer).
-  std::vector<sim::Time> fault_epochs_;
-  mutable std::vector<double> convergence_merged_;
+  Series handoffs_{topo.sim()};
+  Series recoveries_{topo.sim()};
+  Series outage_losses_{topo.sim()};
   // HA-side series: written only from the home agent's shard (shard 0).
-  std::vector<double> binding_staleness_;
+  Series staleness_{topo.sim()};
+  Series ha_lost_bindings_{topo.sim()};
+  Series ha_recoveries_{topo.sim()};
+  /// DV route-change instants (value = seconds), written from each
+  /// router's on_route_change on its own shard.
+  Series route_changes_{topo.sim()};
+  /// Link fail/recover instants (value = seconds), recorded by
+  /// note_fault on the fault plane's shard.
+  Series fault_epochs_{topo.sim()};
   std::size_t ha_target_ = static_cast<std::size_t>(-1);  // fault-plane index
   std::vector<std::pair<net::IpAddress, net::IpAddress>> ha_precrash_bindings_;
   sim::Time ha_crashed_at_ = -1;
-  std::vector<double> ha_lost_bindings_;
-  std::vector<double> ha_recovery_times_;
   std::vector<net::IpAddress> ha_bindings_;      // per mobile, HA's view
   std::vector<sim::Time> binding_changed_at_;    // per mobile
   bool oracle_installed_ = false;
-  // Registry-owned histograms mirroring the latency series above — the
-  // O(1)-record replacement for sorting the raw vectors at report time.
-  // Recorded unconditionally (always-on callbacks), so the snapshot is
-  // identical whether tracing/profiling is enabled.
-  telemetry::Histogram* handoff_latency_h_ = nullptr;
-  telemetry::Histogram* recovery_time_h_ = nullptr;
-  telemetry::Histogram* outage_loss_h_ = nullptr;
-  telemetry::Histogram* binding_staleness_h_ = nullptr;
-  telemetry::Histogram* ha_lost_bindings_h_ = nullptr;
-  telemetry::Histogram* ha_recovery_h_ = nullptr;
-  telemetry::Histogram* convergence_h_ = nullptr;
   std::uint64_t events_executed_ = 0;
   ScaleRunStats last_totals_;
   bool started_ = false;
+  // To the mobiles' attach/registration hooks and the HA's binding
+  // changes; declared last so they detach before the state they feed.
+  std::vector<util::Subscription> subscriptions_;
 };
 
 }  // namespace mhrp::scenario

@@ -21,7 +21,7 @@ node::Router& Topology::add_router(const std::string& name,
   nodes_.push_back(std::move(router));
   is_mobile_.push_back(false);
   by_name_[name] = &ref;
-  notify_node_added(ref);
+  on_node_added(ref);
   return ref;
 }
 
@@ -32,7 +32,7 @@ node::Host& Topology::add_host(const std::string& name,
   nodes_.push_back(std::move(host));
   is_mobile_.push_back(false);
   by_name_[name] = &ref;
-  notify_node_added(ref);
+  on_node_added(ref);
   return ref;
 }
 
@@ -48,7 +48,7 @@ core::MobileHost& Topology::add_mobile_host(const std::string& name,
   nodes_.push_back(std::move(mh));
   is_mobile_.push_back(true);
   by_name_[name] = &ref;
-  notify_node_added(ref);
+  on_node_added(ref);
   return ref;
 }
 
@@ -57,44 +57,8 @@ node::Node& Topology::adopt(std::unique_ptr<node::Node> node) {
   by_name_[node->name()] = node.get();
   nodes_.push_back(std::move(node));
   is_mobile_.push_back(false);
-  notify_node_added(ref);
+  on_node_added(ref);
   return ref;
-}
-
-HookHandle Topology::add_node_added_hook(NodeAddedHook hook) {
-  std::size_t slot;
-  if (!free_hook_slots_.empty()) {
-    slot = free_hook_slots_.back();
-    free_hook_slots_.pop_back();
-  } else {
-    slot = node_added_hooks_.size();
-    node_added_hooks_.emplace_back();
-  }
-  node_added_hooks_[slot].hook = std::move(hook);
-  return HookHandle(this, slot, node_added_hooks_[slot].generation);
-}
-
-void HookHandle::remove() {
-  if (topo_ == nullptr) return;
-  Topology* topo = std::exchange(topo_, nullptr);
-  if (slot_ >= topo->node_added_hooks_.size()) return;
-  Topology::HookSlot& entry = topo->node_added_hooks_[slot_];
-  if (entry.generation != generation_ || !entry.hook) return;
-  entry.hook = nullptr;
-  ++entry.generation;  // any other handle naming this slot is now stale
-  topo->free_hook_slots_.push_back(slot_);
-}
-
-bool HookHandle::active() const {
-  return topo_ != nullptr && slot_ < topo_->node_added_hooks_.size() &&
-         topo_->node_added_hooks_[slot_].generation == generation_ &&
-         static_cast<bool>(topo_->node_added_hooks_[slot_].hook);
-}
-
-void Topology::notify_node_added(node::Node& node) {
-  for (auto& entry : node_added_hooks_) {
-    if (entry.hook) entry.hook(node);
-  }
 }
 
 net::Link& Topology::add_link(const std::string& name, sim::Time latency,

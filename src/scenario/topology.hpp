@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,52 +24,10 @@
 #include "sim/executive.hpp"
 #include "sim/sharded_executive.hpp"
 #include "sim/simulator.hpp"
+#include "util/hooks.hpp"
 #include "util/rng.hpp"
 
 namespace mhrp::scenario {
-
-class Topology;
-
-/// RAII registration of a node-added hook. Mirrors sim::EventHandle's
-/// {slot, generation} scheme: a handle for a hook that was already
-/// removed (or that belongs to a reused slot) is simply inert — remove()
-/// never invalidates someone else's registration. Destroying the handle
-/// removes the hook; the handle must not outlive its Topology.
-class [[nodiscard]] HookHandle {
- public:
-  HookHandle() = default;
-  HookHandle(HookHandle&& other) noexcept
-      : topo_(std::exchange(other.topo_, nullptr)),
-        slot_(other.slot_),
-        generation_(other.generation_) {}
-  HookHandle& operator=(HookHandle&& other) noexcept {
-    if (this != &other) {
-      remove();
-      topo_ = std::exchange(other.topo_, nullptr);
-      slot_ = other.slot_;
-      generation_ = other.generation_;
-    }
-    return *this;
-  }
-  HookHandle(const HookHandle&) = delete;
-  HookHandle& operator=(const HookHandle&) = delete;
-  ~HookHandle() { remove(); }
-
-  /// Unregister the hook. Idempotent; a moved-from or stale handle is a
-  /// no-op.
-  void remove();
-  /// Whether this handle still names a live registration.
-  [[nodiscard]] bool active() const;
-
- private:
-  friend class Topology;
-  HookHandle(Topology* topo, std::size_t slot, std::uint64_t generation)
-      : topo_(topo), slot_(slot), generation_(generation) {}
-
-  Topology* topo_ = nullptr;
-  std::size_t slot_ = 0;
-  std::uint64_t generation_ = 0;
-};
 
 class Topology {
  public:
@@ -170,28 +127,16 @@ class Topology {
 
   // ---- Observation ----
 
-  using NodeAddedHook = std::function<void(node::Node&)>;
-
-  /// Register a hook fired for every node added from now on (all
-  /// construction paths: add_router/add_host/add_mobile_host/adopt).
-  /// Observers like Tracer use this to cover nodes created after they
-  /// attached; the returned RAII handle unregisters on destruction.
-  HookHandle add_node_added_hook(NodeAddedHook hook);
+  /// Fired for every node added from now on, on all construction paths
+  /// (add_router/add_host/add_mobile_host/adopt). Observers like Tracer
+  /// subscribe to cover nodes created after they attached.
+  util::Hooks<node::Node&> on_node_added;
 
  private:
-  friend class HookHandle;
-
-  struct HookSlot {
-    NodeAddedHook hook;  // empty when the slot is free
-    std::uint64_t generation = 0;
-  };
-
   /// The executive a node placed on `shard` should schedule through: the
   /// Simulator itself single-threaded (shard must be 0), the shard's
   /// view under sharding.
   [[nodiscard]] sim::Executive& executive_for(std::uint32_t shard);
-
-  void notify_node_added(node::Node& node);
 
   // Interface -> owning-node index, rebuilt per routing computation.
   // Lookup-only registry (never iterated), so pointer keys cannot leak
@@ -212,8 +157,6 @@ class Topology {
   std::map<std::string, node::Node*> by_name_;
   std::map<std::string, net::Link*> link_by_name_;
   std::vector<bool> is_mobile_;  // parallel to nodes_
-  std::vector<HookSlot> node_added_hooks_;
-  std::vector<std::size_t> free_hook_slots_;
 };
 
 }  // namespace mhrp::scenario

@@ -89,16 +89,9 @@ Tracer::Tracer(Topology& topo, std::ostream* out)
   }
   for (const auto& node : topo_.nodes()) attach(*node);
   // Nodes created after the tracer must be covered too.
-  hook_ = topo_.add_node_added_hook(
-      [this](node::Node& node) { attach(node); });
+  subscriptions_.push_back(
+      topo_.on_node_added.add([this](node::Node& node) { attach(node); }));
 }
-
-// The hooks installed on nodes capture `this`, but they live exactly as
-// long as the nodes inside topo_ — a Tracer outliving its topology is
-// already UB (topo_ dangles). The node-added hook, however, would fire
-// into a dead Tracer if more nodes are added after it is destroyed; the
-// RAII HookHandle member withdraws it.
-Tracer::~Tracer() = default;
 
 bool Tracer::enabled_by_env() {
   const char* value = std::getenv("MHRP_TRACE");
@@ -106,18 +99,12 @@ bool Tracer::enabled_by_env() {
 }
 
 void Tracer::attach(node::Node& node) {
-  auto previous_deliver = node.on_deliver_hook;
-  node.on_deliver_hook = [this, &node,
-                          previous_deliver](const net::Packet& p) {
-    print("recv", node, p);
-    if (previous_deliver) previous_deliver(p);
-  };
-  auto previous_forward = node.on_forward_hook;
-  node.on_forward_hook = [this, &node, previous_forward](
-                             const net::Packet& p, net::Interface& out) {
-    print("fwd ", node, p);
-    if (previous_forward) previous_forward(p, out);
-  };
+  subscriptions_.push_back(node.on_deliver_hook.add(
+      [this, &node](const net::Packet& p) { print("recv", node, p); }));
+  subscriptions_.push_back(node.on_forward_hook.add(
+      [this, &node](const net::Packet& p, net::Interface&) {
+        print("fwd ", node, p);
+      }));
 }
 
 void Tracer::print(const char* verb, const node::Node& node,

@@ -3,14 +3,15 @@
 // addresses, and (for MHRP packets) the tunnel header's mobile host and
 // previous-source list. The examples enable it with MHRP_TRACE=1.
 //
-// The tracer chains onto the nodes' metric hooks, so it coexists with a
-// FlowRecorder attached before or after it.
+// The tracer subscribes to the nodes' observer hooks, so it coexists
+// with any FlowRecorder, and destroying it detaches it from every node.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
+#include <vector>
 
 #include "scenario/topology.hpp"
+#include "util/hooks.hpp"
 
 namespace mhrp::scenario {
 
@@ -27,7 +28,6 @@ class Tracer {
   /// event-loop profiler has the same restriction
   /// (ShardedExecutive::set_profiler).
   explicit Tracer(Topology& topo, std::ostream* out = nullptr);
-  ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -45,7 +45,7 @@ class Tracer {
   Topology& topo_;
   std::ostream* out_;
   std::uint64_t events_ = 0;
-  HookHandle hook_;
+  std::vector<util::Subscription> subscriptions_;
 };
 
 }  // namespace mhrp::scenario

@@ -59,11 +59,21 @@ Histogram& MetricRegistry::histogram(std::string_view name) {
              .emplace(std::string(name),
                       Instrument{MetricKind::kHistogram, Histogram{}})
              .first;
-  } else if (it->second.kind != MetricKind::kHistogram) {
+  } else if (!std::holds_alternative<Histogram>(it->second.storage)) {
     throw std::logic_error("metric '" + std::string(name) +
                            "' already registered as a different kind");
   }
   return std::get<Histogram>(it->second.storage);
+}
+
+void MetricRegistry::histogram_probe(std::string_view name, SeriesProbe fn) {
+  if (!entries_
+           .emplace(std::string(name),
+                    Instrument{MetricKind::kHistogram, std::move(fn)})
+           .second) {
+    throw std::logic_error("metric '" + std::string(name) +
+                           "' already registered");
+  }
 }
 
 void MetricRegistry::probe(std::string_view name, Probe fn) {
@@ -95,16 +105,23 @@ MetricsSnapshot MetricRegistry::snapshot() const {
         entry.value = std::get<Gauge>(instrument.storage).value();
         break;
       case MetricKind::kHistogram: {
-        const Histogram& h = std::get<Histogram>(instrument.storage);
+        Histogram rebuilt;
+        const Histogram* h = std::get_if<Histogram>(&instrument.storage);
+        if (h == nullptr) {
+          for (double v : std::get<SeriesProbe>(instrument.storage)()) {
+            rebuilt.record(v);
+          }
+          h = &rebuilt;
+        }
         MetricsSnapshot::HistogramStats stats;
-        stats.count = h.count();
-        stats.sum = h.sum();
-        stats.min = h.min();
-        stats.max = h.max();
-        stats.mean = h.mean();
-        stats.p50 = h.quantile(0.50);
-        stats.p90 = h.quantile(0.90);
-        stats.p99 = h.quantile(0.99);
+        stats.count = h->count();
+        stats.sum = h->sum();
+        stats.min = h->min();
+        stats.max = h->max();
+        stats.mean = h->mean();
+        stats.p50 = h->quantile(0.50);
+        stats.p90 = h->quantile(0.90);
+        stats.p99 = h->quantile(0.99);
         entry.value = stats;
         break;
       }

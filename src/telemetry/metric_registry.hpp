@@ -66,6 +66,7 @@ struct MetricsSnapshot {
 class MetricRegistry {
  public:
   using Probe = std::function<double()>;
+  using SeriesProbe = std::function<std::vector<double>()>;
 
   MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
@@ -80,6 +81,10 @@ class MetricRegistry {
 
   /// Register (or replace) a probe evaluated at snapshot time.
   void probe(std::string_view name, Probe fn);
+  /// Register a histogram rebuilt at every snapshot by recording fn()'s
+  /// values in order — for a series whose canonical order exists only
+  /// once it is merged (ScaleWorld's per-shard lanes).
+  void histogram_probe(std::string_view name, SeriesProbe fn);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
@@ -88,8 +93,9 @@ class MetricRegistry {
  private:
   struct Instrument {
     MetricKind kind;
-    // Stable-address storage for the instrument itself.
-    std::variant<Counter, Gauge, Histogram, Probe> storage;
+    // Stable-address storage for the instrument itself. A kHistogram
+    // holds a Histogram or a SeriesProbe.
+    std::variant<Counter, Gauge, Histogram, Probe, SeriesProbe> storage;
   };
 
   std::map<std::string, Instrument, std::less<>> entries_;

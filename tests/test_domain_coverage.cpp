@@ -8,6 +8,7 @@
 
 #include "core/domain_coverage.hpp"
 #include "core/registration.hpp"
+#include "core/replication.hpp"
 #include "net/udp.hpp"
 #include "scenario/topology.hpp"
 
@@ -187,6 +188,29 @@ TEST(DomainCoverage, ReturnHomeWithdrawsTheRoute) {
   w.topo.sim().run_for(sim::seconds(10));
   EXPECT_TRUE(ok);
   EXPECT_EQ(w.ha->stats().tunnels_built, tunnels_before);
+}
+
+TEST(DomainCoverage, SharesItsHomeAgentWithAReplicator) {
+  // Paper §2 lets roles combine on one node: the same home agent feeds
+  // §3 domain coverage and §2 replication. Each observer must see every
+  // binding change, and destroying one must leave the other attached.
+  DomainWorld w;
+  auto replicator = std::make_unique<core::HaReplicator>(
+      *w.ha, std::vector<net::IpAddress>{ip("10.2.0.10")},
+      /*is_primary=*/true);
+  w.register_binding(ip("10.4.0.1"), 1);
+  EXPECT_EQ(w.coverage->routes_advertised(), 1u);
+  EXPECT_EQ(replicator->bindings_replicated(), 1u);
+
+  w.coverage.reset();
+  w.register_binding(net::kUnspecified, 2);
+  EXPECT_EQ(replicator->bindings_replicated(), 2u);
+
+  w.coverage = std::make_unique<core::DomainCoverage>(*w.ha, *w.dv1);
+  replicator.reset();
+  w.register_binding(ip("10.4.0.1"), 3);
+  EXPECT_EQ(w.coverage->routes_advertised(), 1u);
+  EXPECT_EQ(w.ha->on_binding_changed.size(), 1u);
 }
 
 }  // namespace

@@ -181,7 +181,8 @@ TEST(MobileHost, SelfForeignAgentMode) {
   w.topo.sim().run_for(sim::seconds(3));  // no agent will ever answer
 
   bool registered = false;
-  m.on_registered = [&registered] { registered = true; };
+  const util::Subscription subscription =
+      m.on_registered.add([&registered] { registered = true; });
   // The temporary address was "obtained" in the visited network (the
   // mechanism is outside MHRP's scope, per the paper).
   m.enable_self_agent(net::IpAddress::parse("10.99.0.200"),

@@ -95,13 +95,13 @@ struct ReplicatedWorld {
 
   bool register_m_at_cell() {
     bool registered = false;
-    m->on_registered = [&registered] { registered = true; };
+    const util::Subscription subscription =
+        m->on_registered.add([&registered] { registered = true; });
     m->attach_to(*cell);
     const sim::Time deadline = topo.sim().now() + sim::seconds(30);
     while (!registered && topo.sim().now() < deadline) {
       topo.sim().run_for(sim::millis(100));
     }
-    m->on_registered = nullptr;
     return registered;
   }
 };

@@ -4,11 +4,13 @@
 // trusts.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "net/udp.hpp"
 #include "scenario/metrics.hpp"
 #include "scenario/mhrp_world.hpp"
+#include "scenario/scale_world.hpp"
 #include "scenario/topology.hpp"
 #include "scenario/tracer.hpp"
 #include "scenario/workload.hpp"
@@ -326,9 +328,8 @@ TEST(Metrics, RecorderFiltersMulticastByDefault) {
   ASSERT_TRUE(w.move_and_register(0, 0));
   w.topo.sim().run_for(sim::seconds(5));
   // Plenty of agent advertisements were delivered, none recorded.
-  for (std::uint64_t i = 0; i < recorder.total().received; ++i) {
-    // Any recorded packet must have been unicast (checked via hop>0).
-  }
+  EXPECT_GT(w.mobiles[0]->counters().delivered_local,
+            recorder.total().received);
   // The only unicast deliveries so far are the registration acks.
   EXPECT_LE(recorder.total().received, 4u);
 }
@@ -404,6 +405,60 @@ TEST(HookChaining, TracerCoversNodesAddedAfterConstruction) {
   EXPECT_GT(tracer.events(), 0u);
   EXPECT_NE(sink.str().find("recv"), std::string::npos);
   EXPECT_NE(sink.str().find("B"), std::string::npos);
+}
+
+TEST(HookChaining, DestroyedTracerDetachesFromEveryNode) {
+  // Regression: the tracer's per-node hooks captured `this` and stayed
+  // installed after it died, so the next packet called into freed memory.
+  HookWorld w;
+  std::ostringstream sink;
+  auto tracer = std::make_unique<scenario::Tracer>(w.topo, &sink);
+  tracer.reset();
+  EXPECT_FALSE(w.a->on_forward_hook);
+  EXPECT_FALSE(w.b->on_deliver_hook);
+  EXPECT_FALSE(w.topo.on_node_added);
+  w.send_one();
+  EXPECT_EQ(w.b->counters().delivered_local, 1u);
+  EXPECT_TRUE(sink.str().empty());
+}
+
+TEST(HookChaining, DestroyedRecorderDetachesFromItsNode) {
+  // Regression: the recorder's hook outlived it, and the next delivery
+  // wrote into freed memory; observers attached beside it stay attached.
+  HookWorld w;
+  std::ostringstream sink;
+  scenario::Tracer tracer(w.topo, &sink);
+  auto recorder = std::make_unique<scenario::FlowRecorder>(*w.b);
+  recorder.reset();
+  w.send_one();
+  EXPECT_EQ(w.b->on_deliver_hook.size(), 1u);  // the tracer's alone
+  EXPECT_NE(sink.str().find("recv"), std::string::npos);
+}
+
+TEST(ScaleWorldHarness, AttachAndRegisterKeepsTheHandoffSeries) {
+  // Regression: attach_and_register on a started world replaced the
+  // mobile's registration hook and then cleared it, so the handoff
+  // series stopped growing while registrations went on completing.
+  scenario::ScaleWorldOptions options;
+  options.routers = 16;
+  options.foreign_agents = 4;
+  options.mobile_hosts = 1;
+  options.correspondents = 1;
+  options.mean_dwell = sim::seconds(2);
+  scenario::ScaleWorld w(options);
+  const auto& stats = w.mobiles[0]->stats();
+  w.run_for(sim::seconds(20));
+  const std::uint64_t registrations = stats.registrations_completed;
+  ASSERT_GT(registrations, 0u);
+  // Every registration in this world follows a move, so each one closes
+  // a handoff.
+  EXPECT_EQ(w.handoff_latencies().size(), registrations);
+
+  ASSERT_TRUE(w.attach_and_register(*w.mobiles[0], *w.cells[1],
+                                    sim::seconds(5)));
+  w.run_for(sim::seconds(40));
+  EXPECT_GT(stats.registrations_completed, registrations + 10);
+  EXPECT_EQ(w.handoff_latencies().size(), stats.registrations_completed);
 }
 
 TEST(MhrpWorldHarness, HelpersReportConsistentState) {

@@ -13,9 +13,8 @@
 //  * cancel() across shards is rejected (returns false, same answer as
 //    an already-fired event) rather than racing a foreign queue.
 //
-// Plus the HookHandle RAII registration that replaced Topology's old
-// index-token hook scheme, which shares the {slot, generation} design
-// of sim::EventHandle.
+// Plus the sharded worlds' refusal of single-threaded instruments (the
+// text Tracer, the profiler, loss bursts).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -285,61 +284,6 @@ TEST(ShardedScaleWorld, ChaosRunIsDeterministicAcrossRepeats) {
   const std::string second = run_digest(opt, sim::seconds(10));
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
-}
-
-TEST(TopologyHookHandle, RemovesOnDestructionAndExplicitly) {
-  Topology topo(1);
-  int seen_a = 0;
-  int seen_b = 0;
-  HookHandle a = topo.add_node_added_hook([&](node::Node&) { ++seen_a; });
-  {
-    HookHandle b = topo.add_node_added_hook([&](node::Node&) { ++seen_b; });
-    (void)topo.add_router("r0");
-    EXPECT_EQ(seen_a, 1);
-    EXPECT_EQ(seen_b, 1);
-  }  // b unregisters here
-  (void)topo.add_router("r1");
-  EXPECT_EQ(seen_a, 2);
-  EXPECT_EQ(seen_b, 1);
-
-  EXPECT_TRUE(a.active());
-  a.remove();
-  EXPECT_FALSE(a.active());
-  a.remove();  // idempotent
-  (void)topo.add_router("r2");
-  EXPECT_EQ(seen_a, 2);
-}
-
-TEST(TopologyHookHandle, StaleHandleCannotRemoveSlotReuser) {
-  Topology topo(1);
-  int seen_old = 0;
-  int seen_new = 0;
-  HookHandle old_handle =
-      topo.add_node_added_hook([&](node::Node&) { ++seen_old; });
-  old_handle.remove();
-  // The freed slot is reused with a bumped generation; the stale handle
-  // (moved-from semantics aside, remove() is already spent) must not be
-  // able to unregister the new occupant.
-  HookHandle new_handle =
-      topo.add_node_added_hook([&](node::Node&) { ++seen_new; });
-  old_handle.remove();
-  (void)topo.add_router("r0");
-  EXPECT_EQ(seen_old, 0);
-  EXPECT_EQ(seen_new, 1);
-}
-
-TEST(TopologyHookHandle, MoveTransfersRegistration) {
-  Topology topo(1);
-  int seen = 0;
-  HookHandle a = topo.add_node_added_hook([&](node::Node&) { ++seen; });
-  HookHandle b = std::move(a);
-  EXPECT_FALSE(a.active());  // NOLINT(bugprone-use-after-move): documented
-  EXPECT_TRUE(b.active());
-  (void)topo.add_router("r0");
-  EXPECT_EQ(seen, 1);
-  b = HookHandle();  // assignment removes the old registration
-  (void)topo.add_router("r1");
-  EXPECT_EQ(seen, 1);
 }
 
 }  // namespace

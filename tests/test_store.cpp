@@ -988,7 +988,8 @@ TEST(ReplicaStore, BackupRecoversReplicatedBindingsFromItsOwnDisk) {
   fa->start_advertising();
 
   bool registered = false;
-  m->on_registered = [&registered] { registered = true; };
+  const util::Subscription subscription =
+      m->on_registered.add([&registered] { registered = true; });
   m->attach_to(cell);
   const sim::Time deadline = topo.sim().now() + sim::seconds(30);
   while (!registered && topo.sim().now() < deadline) {

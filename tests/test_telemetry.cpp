@@ -186,6 +186,24 @@ TEST(MetricRegistryTest, ExportersAgreeOnValues) {
   EXPECT_NE(csv.find("lat,histogram,count,1"), std::string::npos);
 }
 
+TEST(MetricRegistryTest, HistogramProbeRendersLikeALiveHistogram) {
+  // A histogram probe is rebuilt from its series at every snapshot and
+  // must render byte-identically to a histogram fed the same values.
+  MetricRegistry live;
+  MetricRegistry probed;
+  std::vector<double> series = {0.25, 3.0};
+  for (double v : series) live.histogram("lat").record(v);
+  probed.histogram_probe("lat", [&series] { return series; });
+  EXPECT_EQ(probed.snapshot().to_text(), live.snapshot().to_text());
+
+  series.push_back(9.5);  // read again at the next snapshot
+  live.histogram("lat").record(9.5);
+  EXPECT_EQ(probed.snapshot().to_text(), live.snapshot().to_text());
+  EXPECT_THROW(probed.histogram("lat"), std::logic_error);
+  EXPECT_THROW(probed.histogram_probe("lat", [] { return std::vector<double>{}; }),
+               std::logic_error);
+}
+
 TEST(MetricRegistryTest, JsonExportRejectsNonFiniteProbe) {
   MetricRegistry reg;
   reg.probe("bad", [] { return std::numeric_limits<double>::infinity(); });

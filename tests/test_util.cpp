@@ -1,8 +1,14 @@
-// Unit tests: byte serialization and the Internet checksum.
+// Unit tests: byte serialization, the Internet checksum, the seeded RNG
+// and the Hooks observer list.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/byte_buffer.hpp"
 #include "util/checksum.hpp"
+#include "util/hooks.hpp"
 #include "util/rng.hpp"
 
 namespace mhrp::util {
@@ -131,6 +137,88 @@ TEST(Rng, ForkProducesIndependentStream) {
     }
   }
   EXPECT_TRUE(any_different);
+}
+
+TEST(Hooks, DetachesOnDestructionAndExplicitly) {
+  Hooks<int> hooks;
+  int seen_a = 0;
+  int seen_b = 0;
+  Subscription a = hooks.add([&](int) { ++seen_a; });
+  {
+    Subscription b = hooks.add([&](int) { ++seen_b; });
+    hooks(0);
+    EXPECT_EQ(seen_a, 1);
+    EXPECT_EQ(seen_b, 1);
+  }  // b detaches here
+  hooks(1);
+  EXPECT_EQ(seen_a, 2);
+  EXPECT_EQ(seen_b, 1);
+
+  EXPECT_TRUE(a.active());
+  a.reset();
+  EXPECT_FALSE(a.active());
+  a.reset();  // idempotent
+  hooks(2);
+  EXPECT_EQ(seen_a, 2);
+  EXPECT_FALSE(hooks);
+}
+
+TEST(Hooks, StaleSubscriptionCannotDetachALaterSubscriber) {
+  Hooks<> hooks;
+  int seen_old = 0;
+  int seen_new = 0;
+  Subscription spent = hooks.add([&] { ++seen_old; });
+  spent.reset();
+  Subscription replaced = hooks.add([&] { ++seen_old; });
+  hooks = [&] { ++seen_new; };  // replaces every subscriber
+  hooks();
+  EXPECT_EQ(seen_old, 0);
+  EXPECT_EQ(seen_new, 1);
+  // `replaced` is stale now: its id is gone and never handed out again.
+  Subscription later = hooks.add([&] { ++seen_new; });
+  spent.reset();
+  replaced.reset();
+  hooks();
+  EXPECT_EQ(seen_old, 0);
+  EXPECT_EQ(seen_new, 3);
+}
+
+TEST(Hooks, MoveTransfersTheSubscription) {
+  Hooks<> hooks;
+  int seen = 0;
+  Subscription a = hooks.add([&] { ++seen; });
+  Subscription b = std::move(a);
+  EXPECT_FALSE(a.active());  // NOLINT(bugprone-use-after-move): documented
+  EXPECT_TRUE(b.active());
+  hooks();
+  EXPECT_EQ(seen, 1);
+  b = Subscription();  // assignment detaches the old subscriber
+  hooks();
+  EXPECT_EQ(seen, 1);
+}
+
+TEST(Hooks, HandChainingThroughAMovedCopyReachesTheOldSubscribers) {
+  // The std::function idiom perfbench/world.cpp uses: move the hook into
+  // a lambda, assign the lambda over it, call the captured copy.
+  Hooks<int> hooks;
+  std::vector<std::string> calls;
+  Subscription first = hooks.add(
+      [&calls](int v) { calls.push_back("first " + std::to_string(v)); });
+  Hooks<int> moved = std::move(hooks);
+  EXPECT_FALSE(hooks);  // NOLINT(bugprone-use-after-move): documented
+  ASSERT_TRUE(moved);
+  hooks = std::move(moved);
+
+  hooks = [&calls, previous = std::move(hooks)](int v) {
+    calls.push_back("chained " + std::to_string(v));
+    if (previous) previous(v);
+  };
+  EXPECT_EQ(hooks.size(), 1u);  // assignment replaced every subscriber
+  const Hooks<int> copy = hooks;
+  hooks(7);
+  copy(8);
+  EXPECT_EQ(calls, (std::vector<std::string>{"chained 7", "first 7",
+                                             "chained 8", "first 8"}));
 }
 
 }  // namespace
