@@ -5,9 +5,10 @@
 // earlier build: a refactor that means to keep behaviour keeps every
 // constant. The worlds cover each branch of MHRP installation — default
 // and non-default Figure 1 options, MhrpWorld with and without DV and a
-// durable store, ScaleWorld serial and sharded, and a tree with DV, a
-// store and chaos. A change that alters behaviour on purpose updates the
-// constants; the failure message prints the new value.
+// durable store, ScaleWorld serial and at 2 and 4 shards, and a tree with
+// DV, a store and chaos, serial and at 2 shards. A change that alters
+// behaviour on purpose updates the constants; the failure message prints
+// the new value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -103,6 +104,24 @@ ScaleWorldOptions scale_options(std::uint64_t seed, int routers) {
   return opt;
 }
 
+/// A 63-router tree with DV routing, a durable store and every kind of
+/// chaos fault.
+ScaleWorldOptions tree_chaos_options() {
+  ScaleWorldOptions o = scale_options(11, 63);
+  o.backbone = ScaleWorldOptions::Backbone::kTree;
+  o.protocol.routing = routing::dv::Mode::kDv;
+  o.protocol.store.enabled = true;
+  o.protocol.store.sync_policy = store::SyncPolicy::kInterval;
+  o.chaos.enabled = true;
+  o.chaos.horizon = sim::seconds(20);
+  o.chaos.cell_outages_per_sec = 0.2;
+  o.chaos.backbone_outages_per_sec = 0.1;
+  o.chaos.fa_crashes_per_sec = 0.1;
+  o.chaos.ha_crashes_per_sec = 0.05;
+  o.chaos.loss_bursts_per_sec = 0.1;
+  return o;
+}
+
 std::string scale_run(const ScaleWorldOptions& options, sim::Time duration) {
   ScaleWorld world(options);
   world.start();
@@ -162,20 +181,20 @@ TEST(DigestPins, EveryInstallBranchReplaysItsPinnedDigest) {
          o.shards = 2;
          return scale_run(o, sim::seconds(10));
        }},
-      {"scaleworld tree 63 dv+store+chaos", 0xafc87292u,
+      {"scaleworld grid 200 x4 shards", 0xec774a33u,
        [] {
-         ScaleWorldOptions o = scale_options(11, 63);
-         o.backbone = ScaleWorldOptions::Backbone::kTree;
-         o.protocol.routing = routing::dv::Mode::kDv;
-         o.protocol.store.enabled = true;
-         o.protocol.store.sync_policy = store::SyncPolicy::kInterval;
-         o.chaos.enabled = true;
-         o.chaos.horizon = sim::seconds(20);
-         o.chaos.cell_outages_per_sec = 0.2;
-         o.chaos.backbone_outages_per_sec = 0.1;
-         o.chaos.fa_crashes_per_sec = 0.1;
-         o.chaos.ha_crashes_per_sec = 0.05;
-         o.chaos.loss_bursts_per_sec = 0.1;
+         ScaleWorldOptions o = scale_options(7, 200);
+         o.shards = 4;
+         return scale_run(o, sim::seconds(10));
+       }},
+      {"scaleworld tree 63 dv+store+chaos", 0xafc87292u,
+       [] { return scale_run(tree_chaos_options(), sim::seconds(20)); }},
+      {"scaleworld tree 63 dv+store+chaos x2 shards", 0xaacd52f6u,
+       [] {
+         // Sharded mode refuses loss bursts (DESIGN.md §13.4).
+         ScaleWorldOptions o = tree_chaos_options();
+         o.chaos.loss_bursts_per_sec = 0;
+         o.shards = 2;
          return scale_run(o, sim::seconds(20));
        }},
   };
