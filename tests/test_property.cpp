@@ -12,6 +12,7 @@
 //  * home transparency: at home, zero overhead, always.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <type_traits>
 
 #include "scenario/metrics.hpp"
@@ -23,13 +24,23 @@ namespace {
 using scenario::MhrpWorld;
 using scenario::MhrpWorldOptions;
 
+/// Whether foreign agents keep forwarding pointers (§5.2).
+enum class Pointers : std::uint64_t { kDropped, kKept };
+
 struct WorldShape {
   int foreign_sites;
   int mobile_hosts;
-  int correspondents;
+  // correspondents and forwarding_pointers are 8 bytes wide so the struct
+  // has no padding; its byte dump equals that of int and bool fields
+  // with zeroed padding.
+  std::int64_t correspondents;
   std::size_t max_list_length;
-  bool forwarding_pointers;
+  Pointers forwarding_pointers;
 };
+// gtest prints a parameter without operator<< as a byte dump, and ctest
+// takes that dump into the test name; padding bytes would make the name
+// change from run to run. The same holds for LoopCase below.
+static_assert(std::has_unique_object_representations_v<WorldShape>);
 
 class MhrpWorldProperty : public ::testing::TestWithParam<WorldShape> {};
 
@@ -46,9 +57,10 @@ TEST_P(MhrpWorldProperty, EveryMobileReachableWhereverItRegisters) {
   MhrpWorldOptions options;
   options.foreign_sites = shape.foreign_sites;
   options.mobile_hosts = shape.mobile_hosts;
-  options.correspondents = shape.correspondents;
+  options.correspondents = static_cast<int>(shape.correspondents);
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers =
+      shape.forwarding_pointers == Pointers::kKept;
   MhrpWorld w(options);
 
   for (int i = 0; i < shape.mobile_hosts; ++i) {
@@ -68,7 +80,8 @@ TEST_P(MhrpWorldProperty, RandomizedWalkNeverStrandsTheMobileHost) {
   options.mobile_hosts = 1;
   options.correspondents = 1;
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers =
+      shape.forwarding_pointers == Pointers::kKept;
   options.protocol.seed = 7 + static_cast<std::uint64_t>(shape.foreign_sites);
   MhrpWorld w(options);
   util::Rng rng(options.protocol.seed);
@@ -92,7 +105,8 @@ TEST_P(MhrpWorldProperty, OverheadIsEightPlusFourPerListEntry) {
   options.mobile_hosts = 1;
   options.correspondents = 1;
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers =
+      shape.forwarding_pointers == Pointers::kKept;
   MhrpWorld w(options);
   ASSERT_TRUE(w.move_and_register(0, 0));
 
@@ -125,9 +139,10 @@ TEST_P(MhrpWorldProperty, CachesConvergeAfterMove) {
   MhrpWorldOptions options;
   options.foreign_sites = shape.foreign_sites;
   options.mobile_hosts = 1;
-  options.correspondents = shape.correspondents;
+  options.correspondents = static_cast<int>(shape.correspondents);
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers =
+      shape.forwarding_pointers == Pointers::kKept;
   MhrpWorld w(options);
   ASSERT_TRUE(w.move_and_register(0, 0));
 
@@ -153,7 +168,8 @@ TEST_P(MhrpWorldProperty, ZeroOverheadAtHomeAlways) {
   options.mobile_hosts = 1;
   options.correspondents = 1;
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers =
+      shape.forwarding_pointers == Pointers::kKept;
   MhrpWorld w(options);
   // Roam, then come home — history must not leave residual overhead.
   ASSERT_TRUE(w.move_and_register(0, 0));
@@ -173,20 +189,20 @@ TEST_P(MhrpWorldProperty, ZeroOverheadAtHomeAlways) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MhrpWorldProperty,
-    ::testing::Values(WorldShape{1, 1, 1, 8, true},
-                      WorldShape{2, 1, 1, 8, true},
-                      WorldShape{3, 2, 2, 8, true},
-                      WorldShape{3, 1, 3, 2, true},
-                      WorldShape{4, 3, 2, 8, false},
-                      WorldShape{5, 1, 1, 1, false},
-                      WorldShape{6, 4, 3, 4, true}),
+    ::testing::Values(WorldShape{1, 1, 1, 8, Pointers::kKept},
+                      WorldShape{2, 1, 1, 8, Pointers::kKept},
+                      WorldShape{3, 2, 2, 8, Pointers::kKept},
+                      WorldShape{3, 1, 3, 2, Pointers::kKept},
+                      WorldShape{4, 3, 2, 8, Pointers::kDropped},
+                      WorldShape{5, 1, 1, 1, Pointers::kDropped},
+                      WorldShape{6, 4, 3, 4, Pointers::kKept}),
     [](const ::testing::TestParamInfo<WorldShape>& info) {
       const WorldShape& s = info.param;
       return "f" + std::to_string(s.foreign_sites) + "m" +
              std::to_string(s.mobile_hosts) + "c" +
              std::to_string(s.correspondents) + "k" +
              std::to_string(s.max_list_length) +
-             (s.forwarding_pointers ? "ptr" : "noptr");
+             (s.forwarding_pointers == Pointers::kKept ? "ptr" : "noptr");
     });
 
 // ---- Loop-contraction property (§5.3) over loop size and list cap ----
@@ -197,9 +213,6 @@ struct LoopCase {
   int update_interval_ms;
   std::size_t max_list;
 };
-// gtest prints a parameter without operator<< as a byte dump, and ctest
-// takes that dump into the test name; padding bytes would make the name
-// change from run to run.
 static_assert(std::has_unique_object_representations_v<LoopCase>);
 
 class LoopContraction : public ::testing::TestWithParam<LoopCase> {};
