@@ -1,6 +1,7 @@
 #include "node/node.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "util/log.hpp"
 
@@ -24,8 +25,8 @@ Interface& Node::add_interface(const std::string& if_name, IpAddress ip,
   iface->configure(ip, prefix_length);
   iface->set_shard(sim_->shard_id());
   interfaces_.push_back(std::move(iface));
+  iface_state_.emplace_back();
   Interface& ref = *interfaces_.back();
-  iface_state_.try_emplace(&ref);
   // Directly connected subnet route.
   table_.install({ref.prefix(), net::kUnspecified, &ref, 0,
                   routing::RouteKind::kConnected});
@@ -50,8 +51,22 @@ IpAddress Node::primary_address() const {
   return interfaces_.empty() ? net::kUnspecified : interfaces_.front()->ip();
 }
 
-Node::InterfaceState& Node::state_of(Interface& iface) {
-  return iface_state_[&iface];
+std::size_t Node::position_of(const Interface& iface) const {
+  std::size_t position = 0;
+  while (position < interfaces_.size() &&
+         interfaces_[position].get() != &iface) {
+    ++position;
+  }
+  return position;
+}
+
+Node::InterfaceState& Node::state_of(const Interface& iface) {
+  const std::size_t position = position_of(iface);
+  if (position == interfaces_.size()) {
+    throw std::invalid_argument(name_ + ": interface " + iface.name() +
+                                " belongs to another node");
+  }
+  return iface_state_[position];
 }
 
 net::ArpTable& Node::arp_table(Interface& iface) { return state_of(iface).arp; }
@@ -62,13 +77,9 @@ void Node::fail() {
   if (!up_) return;
   up_ = false;
   // A crash loses all volatile link-layer state: ARP caches and the
-  // packets (and retry timers) queued awaiting resolution. Walk the
-  // interfaces in attachment order, not the pointer-keyed state map,
-  // so teardown order never depends on allocation addresses.
-  for (auto& iface : interfaces_) {
-    auto it = iface_state_.find(iface.get());
-    if (it == iface_state_.end()) continue;
-    InterfaceState& st = it->second;
+  // packets (and retry timers) queued awaiting resolution, torn down in
+  // interface attachment order.
+  for (InterfaceState& st : iface_state_) {
     st.arp.clear();
     for (auto& [next_hop, pending] : st.pending) {
       (void)next_hop;
@@ -124,9 +135,11 @@ void Node::send_ip(Packet packet) {
     ++counters_.dropped_no_route;
     return;
   }
+  // Copied out: the route is valid only until the table next changes.
+  Interface& out = *route->iface;
   const IpAddress next_hop =
       route->next_hop.is_unspecified() ? dst : route->next_hop;
-  transmit(*route->iface, std::move(packet), next_hop);
+  transmit(out, std::move(packet), next_hop);
 }
 
 void Node::send_ip_on(Interface& iface, Packet packet, IpAddress link_dst) {
@@ -200,8 +213,9 @@ void Node::remove_proxy_arp(Interface& iface, IpAddress addr) {
 }
 
 bool Node::has_proxy_arp(Interface& iface, IpAddress addr) const {
-  auto it = iface_state_.find(&iface);
-  return it != iface_state_.end() && it->second.proxied.contains(addr);
+  const std::size_t position = position_of(iface);
+  return position < iface_state_.size() &&
+         iface_state_[position].proxied.contains(addr);
 }
 
 void Node::send_gratuitous_arp(Interface& iface, IpAddress ip,
@@ -297,8 +311,8 @@ void Node::arp_retry(Interface& iface, IpAddress next_hop) {
     st.pending.erase(it);
     for (auto& [packet, hop] : queue) {
       ++counters_.dropped_arp_timeout;
-      send_icmp_error(packet,
-                      net::IcmpUnreachable{net::UnreachCode::kHostUnreachable, {}});
+      send_icmp_error(packet, net::IcmpUnreachable{
+                                  net::UnreachCode::kHostUnreachable, {}});
     }
     return;
   }
@@ -365,21 +379,24 @@ void Node::forward(Packet packet, Interface& in_iface) {
   const routing::Route* route = table_.lookup(dst);
   if (route == nullptr || route->iface == nullptr) {
     ++counters_.dropped_no_route;
-    send_icmp_error(packet,
-                    net::IcmpUnreachable{net::UnreachCode::kNetUnreachable, {}});
+    send_icmp_error(packet, net::IcmpUnreachable{
+                                net::UnreachCode::kNetUnreachable, {}});
     return;
   }
+  // Copied out: the route is valid only until the table next changes,
+  // and the ICMP error and the forward hook below may change it.
+  Interface& out = *route->iface;
   const IpAddress next_hop =
       route->next_hop.is_unspecified() ? dst : route->next_hop;
 
-  if (send_redirects_ && route->iface == &in_iface &&
+  if (send_redirects_ && &out == &in_iface &&
       in_iface.prefix().contains(packet.header().src)) {
     send_icmp_error(packet, net::IcmpRedirect{next_hop, {}});
   }
 
   ++counters_.forwarded;
-  on_forward_hook(packet, *route->iface);
-  transmit(*route->iface, std::move(packet), next_hop);
+  on_forward_hook(packet, out);
+  transmit(out, std::move(packet), next_hop);
 }
 
 void Node::deliver_local(Packet& packet, Interface& iface) {

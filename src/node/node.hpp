@@ -233,7 +233,8 @@ class Node : public net::FrameSink {
     std::uint64_t dropped_ttl = 0;
     std::uint64_t dropped_arp_timeout = 0;
     std::uint64_t icmp_errors_sent = 0;
-    std::uint64_t options_slow_path = 0;  // forwarded datagrams carrying IP options
+    // Forwarded datagrams carrying IP options.
+    std::uint64_t options_slow_path = 0;
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
   Counters& mutable_counters() { return counters_; }
@@ -273,12 +274,17 @@ class Node : public net::FrameSink {
   void transmit(net::Interface& iface, net::Packet packet,
                 net::IpAddress next_hop);
   void arp_retry(net::Interface& iface, net::IpAddress next_hop);
-  InterfaceState& state_of(net::Interface& iface);
+  /// Position of `iface` in interfaces_, or interfaces_.size() when it
+  /// belongs to another node.
+  [[nodiscard]] std::size_t position_of(const net::Interface& iface) const;
+  /// State of one of this node's own interfaces.
+  InterfaceState& state_of(const net::Interface& iface);
 
   sim::Executive* sim_;
   std::string name_;
   std::vector<std::unique_ptr<net::Interface>> interfaces_;
-  std::unordered_map<const net::Interface*, InterfaceState> iface_state_;
+  /// Per-interface state, parallel to interfaces_.
+  std::vector<InterfaceState> iface_state_;
   routing::RoutingTable table_;
   bool up_ = true;
   bool forwarding_ = false;

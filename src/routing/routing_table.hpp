@@ -13,11 +13,19 @@
 // the static route for the same prefix while it is alive, and
 // withdrawing it (remove_route) re-exposes the static fallback instead
 // of blackholing — the substrate the routing::dv plane converges on.
+//
+// Storage is flat (DESIGN.md §14.2): the active route of every prefix
+// sits in one contiguous vector, found through an open-addressed index
+// of positions keyed by (address, length); a bitmask of the populated
+// lengths lets lookup probe only those. Shadowed lower-tier routes live
+// in a small ordered side map.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/ip_address.hpp"
@@ -90,8 +98,14 @@ class RoutingTable {
   /// host-specific route withdrawal).
   void remove_kind(RouteKind kind);
 
+  /// Make room for `prefixes` distinct prefixes, so installing up to
+  /// that many never reallocates.
+  void reserve(std::size_t prefixes);
+
   /// Longest-prefix match on active (best-tier) routes. Returns nullptr
-  /// when no route covers `dst`.
+  /// when no route covers `dst`. The pointer (like those of find and
+  /// find_kind) is valid only until the next change to this table: an
+  /// install or a removal can move routes.
   [[nodiscard]] const Route* lookup(net::IpAddress dst) const;
 
   /// Exact-prefix fetch of the active route (tests, DV comparisons).
@@ -102,7 +116,7 @@ class RoutingTable {
                                        RouteKind kind) const;
 
   /// Number of distinct prefixes with at least one route.
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t size() const { return active_.size(); }
 
   /// The active route of every prefix, for diagnostics and DV
   /// advertisement. Shadowed fallback routes are not emitted.
@@ -111,16 +125,31 @@ class RoutingTable {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  /// Routes for one prefix, descending tier; at most one per tier.
-  using Slot = std::vector<Route>;
+  static constexpr std::uint32_t kFree = 0xFFFFFFFF;
 
-  static std::uint32_t key_of(const net::Prefix& p) {
-    return p.address().raw();
-  }
+  /// The index slot holding `prefix`'s position, or the free slot where
+  /// it would go. The index must not be empty.
+  [[nodiscard]] std::size_t slot_of(const net::Prefix& prefix) const;
+  void rehash(std::size_t slots);
+  /// Drop the active route held at index slot `slot`; the last route
+  /// moves into its position.
+  void erase_active(std::size_t slot);
+  /// Replace the active route held at index slot `slot` with the best
+  /// shadowed route of its prefix, or drop it when none is shadowed.
+  void withdraw_active(std::size_t slot);
 
-  // One exact-match map per prefix length; LPM scans lengths descending.
-  std::array<std::unordered_map<std::uint32_t, Slot>, 33> by_length_;
-  std::size_t count_ = 0;
+  /// The active (best-tier) route of each prefix, in no order.
+  std::vector<Route> active_;
+  /// Open-addressed, linear-probing index of positions in active_
+  /// (kFree when unused); its size is zero or a power of two, and at most
+  /// three quarters of it is used.
+  std::vector<std::uint32_t> index_;
+  /// Lower-tier routes shadowed by an active route, by (prefix, tier).
+  std::map<std::pair<net::Prefix, int>, Route> shadowed_;
+  /// Bit L is set while some prefix of length L holds a route.
+  std::uint64_t lengths_ = 0;
+  /// Prefixes per length.
+  std::array<std::uint32_t, 33> per_length_{};
 };
 
 }  // namespace mhrp::routing

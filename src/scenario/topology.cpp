@@ -1,5 +1,6 @@
 #include "scenario/topology.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mhrp::scenario {
@@ -148,6 +149,14 @@ void Topology::install_static_routes() {
       sites.push_back({iface->prefix(), static_cast<int>(n)});
     }
   }
+  // A router ends up with one route per distinct site prefix it reaches,
+  // so each table is sized once rather than grown by doubling.
+  std::vector<net::Prefix> prefixes;
+  prefixes.reserve(sites.size());
+  for (const PrefixSite& site : sites) prefixes.push_back(site.prefix);
+  std::sort(prefixes.begin(), prefixes.end());
+  const auto distinct_prefixes = static_cast<std::size_t>(
+      std::unique(prefixes.begin(), prefixes.end()) - prefixes.begin());
 
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     node::Node& node = *nodes_[n];
@@ -177,6 +186,7 @@ void Topology::install_static_routes() {
     }
 
     // Router: full shortest-path table.
+    node.routing_table().reserve(distinct_prefixes);
     const routing::ShortestPaths sp =
         routing::shortest_paths(graph, static_cast<int>(n));
     for (const PrefixSite& site : sites) {

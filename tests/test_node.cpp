@@ -2,6 +2,9 @@
 // resolution, routed forwarding, TTL, ICMP errors, UDP demux, redirects.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "scenario/topology.hpp"
 
 namespace mhrp {
@@ -169,6 +172,47 @@ TEST(NodeStack, ProxyArpInterceptsLanTraffic) {
   b.send_udp(ip("10.1.0.50"), 1, 2, data);
   topo.sim().run_for(sim::seconds(5));
   EXPECT_EQ(intercepted, 1);
+}
+
+TEST(NodeStack, InterfaceStateBelongsToTheOwningNode) {
+  Topology topo;
+  auto& lan = topo.add_link("lan", sim::millis(1));
+  auto& a = topo.add_host("A");
+  auto& b = topo.add_host("B");
+  net::Interface& ai = topo.connect(a, lan, ip("10.1.0.10"), 24);
+  net::Interface& bi = topo.connect(b, lan, ip("10.1.0.11"), 24);
+
+  a.add_proxy_arp(ai, ip("10.1.0.50"));
+  EXPECT_TRUE(a.has_proxy_arp(ai, ip("10.1.0.50")));
+  EXPECT_FALSE(a.has_proxy_arp(bi, ip("10.1.0.50")));
+  EXPECT_FALSE(b.has_proxy_arp(ai, ip("10.1.0.50")));
+  // Another node's interface has no state here to change.
+  EXPECT_THROW(b.add_proxy_arp(ai, ip("10.1.0.51")), std::invalid_argument);
+  EXPECT_THROW((void)b.arp_table(ai), std::invalid_argument);
+}
+
+TEST(NodeStack, ForwardHookMayGrowTheRoutingTable) {
+  // A route from lookup() is valid only until its table changes. A
+  // forward hook that installs routes, enough to reallocate the router's
+  // table, must not disturb the hop being forwarded.
+  TwoLans w;
+  std::uint32_t next_prefix = 0;
+  auto grow = w.r->on_forward_hook.add(
+      [&](const net::Packet&, net::Interface&) {
+        for (int i = 0; i < 64; ++i) {
+          w.r->routing_table().install(
+              {net::Prefix(net::IpAddress(0xAC100000u + 4u * next_prefix++),
+                           30),
+               ip("10.2.0.10"), w.r->interfaces().back().get(), 1,
+               routing::RouteKind::kStatic});
+        }
+      });
+  bool replied = false;
+  w.a->ping(ip("10.2.0.10"),
+            [&](const node::Host::PingResult& r) { replied = r.replied; });
+  w.topo.sim().run_for(sim::seconds(10));
+  EXPECT_TRUE(replied);
+  EXPECT_GE(w.r->routing_table().size(), 2u + 128u);
 }
 
 TEST(NodeStack, GratuitousArpRewritesNeighborCaches) {
