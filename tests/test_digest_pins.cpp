@@ -173,23 +173,23 @@ TEST(DigestPins, EveryInstallBranchReplaysItsPinnedDigest) {
          o.protocol.forwarding_pointers = false;
          return mhrp_tour(o);
        }},
-      {"scaleworld grid 200", 0x8b0f41aeu,
+      {"scaleworld grid 200", 0xf29e21dau,
        [] { return scale_run(scale_options(7, 200), sim::seconds(10)); }},
-      {"scaleworld grid 200 x2 shards", 0xf30fdd72u,
+      {"scaleworld grid 200 x2 shards", 0x89359231u,
        [] {
          ScaleWorldOptions o = scale_options(7, 200);
          o.shards = 2;
          return scale_run(o, sim::seconds(10));
        }},
-      {"scaleworld grid 200 x4 shards", 0xec774a33u,
+      {"scaleworld grid 200 x4 shards", 0x9954643cu,
        [] {
          ScaleWorldOptions o = scale_options(7, 200);
          o.shards = 4;
          return scale_run(o, sim::seconds(10));
        }},
-      {"scaleworld tree 63 dv+store+chaos", 0xafc87292u,
+      {"scaleworld tree 63 dv+store+chaos", 0x058d5bb3u,
        [] { return scale_run(tree_chaos_options(), sim::seconds(20)); }},
-      {"scaleworld tree 63 dv+store+chaos x2 shards", 0xaacd52f6u,
+      {"scaleworld tree 63 dv+store+chaos x2 shards", 0x14fb6cc9u,
        [] {
          // Sharded mode refuses loss bursts (DESIGN.md §13.4).
          ScaleWorldOptions o = tree_chaos_options();
