@@ -90,9 +90,19 @@ struct ScaleRunStats {
   std::uint64_t events_executed = 0;
   std::uint64_t frames_carried = 0;  // across every link
   std::uint64_t bytes_carried = 0;
+  std::uint64_t cbr_sent = 0;           // CBR datagrams the flows sent
   std::uint64_t packets_delivered = 0;  // CBR datagrams reaching a mobile
   std::uint64_t moves = 0;
   std::uint64_t registrations = 0;  // completed mobile registrations
+  // Summed over every node: datagrams dropped, by cause, and the ICMP
+  // errors sent. Each ICMP error answers one drop unless a datagram
+  // reached a port nothing listens on.
+  std::uint64_t ttl_drops = 0;
+  std::uint64_t arp_timeouts = 0;
+  std::uint64_t no_route_drops = 0;
+  std::uint64_t icmp_errors = 0;
+
+  bool operator==(const ScaleRunStats&) const = default;
 };
 
 class ScaleWorld : public MhrpDeployment {
