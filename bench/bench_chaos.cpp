@@ -20,30 +20,23 @@
 // workload as the BENCH_scale.json sweep's matching size; its events/sec
 // bounds the cost of merely linking the fault plane (must stay within
 // 2% — the plane is pure scheduled events, there is no per-packet hook
-// on the no-fault path).
+// on the no-fault path). The bench exits 1 unless the baseline passes
+// bench/harness.hpp's slice rules; faulted points record the same counts.
 //
 // Usage: bench_chaos [--small] [--out PATH]
 //   --small    one tiny sweep point (CI smoke)
 //   --out PATH where to write the JSON report (default BENCH_chaos.json)
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "scenario/metrics.hpp"
 #include "scenario/scale_world.hpp"
 
 using namespace mhrp;
 
 namespace {
-
-double wall_seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 struct ChaosPoint {
   int routers;
@@ -58,9 +51,7 @@ struct ChaosResult {
   double sim_seconds = 0;
   double wall_seconds = 0;
   double events_per_s = 0;
-  std::uint64_t events = 0;
-  std::uint64_t packets_delivered = 0;
-  std::uint64_t registrations = 0;
+  scenario::ScaleRunStats stats;
   faults::FaultPlaneStats faults{};
   scenario::PercentileSummary recovery{};
   scenario::PercentileSummary outage_loss{};
@@ -69,15 +60,9 @@ struct ChaosResult {
   scenario::PercentileSummary convergence{};  // DV points only
 };
 
-ChaosResult run_point(ChaosPoint point, double sim_secs) {
-  scenario::ScaleWorldOptions opt;
-  opt.routers = point.routers;
-  opt.mobile_hosts = point.mobiles;
-  opt.foreign_agents = std::max(
-      2, static_cast<int>(std::lround(std::sqrt(double(point.routers)))));
-  opt.correspondents = 4;
-  opt.mean_dwell = sim::seconds(3);
-  opt.protocol.seed = 1;
+ChaosResult run_point(bench::Harness& h, ChaosPoint point, double sim_secs) {
+  scenario::ScaleWorldOptions opt =
+      bench::sweep_options(point.routers, point.mobiles);
   if (point.dv) opt.protocol.routing = routing::dv::Mode::kDv;
   if (point.fault_rate > 0) {
     opt.chaos.enabled = true;
@@ -94,20 +79,13 @@ ChaosResult run_point(ChaosPoint point, double sim_secs) {
   world.start();
   world.run_for(sim::seconds(2));  // warm-up: discovery + first bindings
 
-  const auto start = std::chrono::steady_clock::now();
-  const scenario::ScaleRunStats stats =
-      world.run_for(sim::from_seconds(sim_secs));
-  const double wall = wall_seconds_since(start);
-
   ChaosResult r;
   r.point = point;
   r.foreign_agents = opt.foreign_agents;
   r.sim_seconds = sim_secs;
-  r.wall_seconds = wall;
-  r.events = stats.events_executed;
-  r.packets_delivered = stats.packets_delivered;
-  r.registrations = stats.registrations;
-  r.events_per_s = double(stats.events_executed) / wall;
+  r.wall_seconds = h.timed(
+      [&] { r.stats = world.run_for(sim::from_seconds(sim_secs)); });
+  r.events_per_s = double(r.stats.events_executed) / r.wall_seconds;
   if (world.fault_plane() != nullptr) {
     r.faults = world.fault_plane()->stats();
   }
@@ -116,6 +94,11 @@ ChaosResult run_point(ChaosPoint point, double sim_secs) {
   r.staleness = scenario::summarize(world.binding_staleness());
   r.handoff = scenario::summarize(world.handoff_latencies());
   r.convergence = scenario::summarize(world.convergence_times());
+  if (point.fault_rate == 0) {
+    h.check_slice("baseline N=" + std::to_string(point.routers) +
+                      " M=" + std::to_string(point.mobiles),
+                  r.stats);
+  }
   return r;
 }
 
@@ -127,83 +110,11 @@ void print_summary_row(const char* tag,
               s.p99, s.max);
 }
 
-void write_summary(std::FILE* f, const char* key,
-                   const scenario::PercentileSummary& s, const char* tail) {
-  std::fprintf(f,
-               "      \"%s\": {\"count\": %llu, \"p50\": %.4f, "
-               "\"p90\": %.4f, \"p99\": %.4f, \"max\": %.4f}%s\n",
-               key, static_cast<unsigned long long>(s.count), s.p50, s.p90,
-               s.p99, s.max, tail);
-}
-
-void write_json(const std::string& path, bool small,
-                const std::vector<ChaosResult>& sweep) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"bench_chaos\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", small ? "small" : "full");
-  std::fprintf(f, "  \"sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const ChaosResult& r = sweep[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"routers\": %d,\n", r.point.routers);
-    std::fprintf(f, "      \"foreign_agents\": %d,\n", r.foreign_agents);
-    std::fprintf(f, "      \"mobiles\": %d,\n", r.point.mobiles);
-    std::fprintf(f, "      \"fault_rate_per_sec\": %.3f,\n",
-                 r.point.fault_rate);
-    std::fprintf(f, "      \"routing\": \"%s\",\n",
-                 r.point.dv ? "dv" : "static");
-    std::fprintf(f, "      \"sim_seconds\": %.1f,\n", r.sim_seconds);
-    std::fprintf(f, "      \"wall_seconds\": %.4f,\n", r.wall_seconds);
-    std::fprintf(f, "      \"events\": %llu,\n",
-                 static_cast<unsigned long long>(r.events));
-    std::fprintf(f, "      \"events_per_sec\": %.0f,\n", r.events_per_s);
-    std::fprintf(f, "      \"packets_delivered\": %llu,\n",
-                 static_cast<unsigned long long>(r.packets_delivered));
-    std::fprintf(f, "      \"registrations\": %llu,\n",
-                 static_cast<unsigned long long>(r.registrations));
-    std::fprintf(
-        f,
-        "      \"faults\": {\"link_failures\": %llu, "
-        "\"link_recoveries\": %llu, \"node_crashes\": %llu, "
-        "\"node_reboots\": %llu, \"impairment_bursts\": %llu},\n",
-        static_cast<unsigned long long>(r.faults.link_failures),
-        static_cast<unsigned long long>(r.faults.link_recoveries),
-        static_cast<unsigned long long>(r.faults.node_crashes),
-        static_cast<unsigned long long>(r.faults.node_reboots),
-        static_cast<unsigned long long>(r.faults.impairment_bursts));
-    write_summary(f, "recovery_s", r.recovery, ",");
-    write_summary(f, "outage_loss_pkts", r.outage_loss, ",");
-    write_summary(f, "binding_staleness_s", r.staleness, ",");
-    write_summary(f, "handoff_s", r.handoff, ",");
-    write_summary(f, "convergence_s", r.convergence, "");
-    std::fprintf(f, "    }%s\n", i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool small = false;
-  std::string out = "BENCH_chaos.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--small] [--out PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  bench::Harness h(argc, argv, "BENCH_chaos.json", /*seed=*/1);
+  const bool small = h.small();
 
   std::printf("E-chaos: fault recovery at scale (§5.2, §2)\n");
 
@@ -228,7 +139,7 @@ int main(int argc, char** argv) {
 
   std::vector<ChaosResult> results;
   for (ChaosPoint p : points) {
-    ChaosResult r = run_point(p, sim_secs);
+    ChaosResult r = run_point(h, p, sim_secs);
     results.push_back(r);
     std::printf(
         "\n  N=%d M=%d fault_rate=%.2f/s routing=%s | %.0f events/s | "
@@ -253,6 +164,32 @@ int main(int argc, char** argv) {
       "  timers and stays flat as the internetwork grows; outage loss is\n"
       "  bounded by the outage itself, not by any global repair.\n");
 
-  write_json(out, small, results);
-  return 0;
+  return h.finish([&] {
+    h.rows("sweep", results, [&](const ChaosResult& r) {
+      h.field("routers", r.point.routers);
+      h.field("foreign_agents", r.foreign_agents);
+      h.field("mobiles", r.point.mobiles);
+      h.field("fault_rate_per_sec", r.point.fault_rate);
+      h.field("routing", r.point.dv ? "dv" : "static");
+      h.field("sim_seconds", r.sim_seconds);
+      h.field("wall_seconds", r.wall_seconds);
+      h.field("events", r.stats.events_executed);
+      h.field("events_per_sec", r.events_per_s);
+      h.field("packets_delivered", r.stats.packets_delivered);
+      h.field("registrations", r.stats.registrations);
+      h.object("faults", [&] {
+        h.field("link_failures", r.faults.link_failures);
+        h.field("link_recoveries", r.faults.link_recoveries);
+        h.field("node_crashes", r.faults.node_crashes);
+        h.field("node_reboots", r.faults.node_reboots);
+        h.field("impairment_bursts", r.faults.impairment_bursts);
+      });
+      h.summary("recovery_s", r.recovery);
+      h.summary("outage_loss_pkts", r.outage_loss);
+      h.summary("binding_staleness_s", r.staleness);
+      h.summary("handoff_s", r.handoff);
+      h.summary("convergence_s", r.convergence);
+      h.counts("counts", r.stats);
+    });
+  });
 }

@@ -20,27 +20,30 @@
 //     router-second and total route changes (wall_seconds sits next to
 //     BENCH_scale.json's points for the cost of a process per router).
 //
+// The bench exits 1 unless both twins' warm-ups pass bench/harness.hpp's
+// slice rules (the outages record the same counts), convergence epochs
+// were recorded, and DV out-delivers static during the outage.
+//
 // Usage: bench_routing [--small] [--out PATH]
 //   --small    one tiny sweep point (CI smoke)
 //   --out PATH where to write the JSON report (default BENCH_routing.json)
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "faults/fault_schedule.hpp"
+#include "harness.hpp"
 #include "scenario/scale_world.hpp"
 
 using namespace mhrp;
 
 namespace {
 
-double wall_seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+/// One twin's warm-up and outage slices.
+struct Drive {
+  scenario::ScaleRunStats warmup;
+  scenario::ScaleRunStats outage;
+};
 
 struct RoutingResult {
   int routers = 0;
@@ -53,8 +56,8 @@ struct RoutingResult {
   std::uint64_t dv_routes_withdrawn = 0;
   double updates_per_router_s = 0;
   std::vector<double> convergence_s;  // one per fault epoch
-  std::uint64_t dv_delivered_during_outage = 0;
-  std::uint64_t static_delivered_during_outage = 0;
+  Drive dv;
+  Drive st;
 };
 
 scenario::ScaleWorldOptions world_options(int routers, bool dv) {
@@ -71,42 +74,38 @@ scenario::ScaleWorldOptions world_options(int routers, bool dv) {
   return opt;
 }
 
-/// Warm up, fail bb0 (R0-R1) for `outage`, heal, settle. Returns the
-/// CBR datagrams delivered while the link was down.
-std::uint64_t drive_scripted_outage(scenario::ScaleWorld& world,
-                                    sim::Time warmup, sim::Time outage) {
+/// Warm up, fail bb0 (R0-R1) for `outage`, heal, settle.
+Drive drive_scripted_outage(scenario::ScaleWorld& world, sim::Time warmup,
+                            sim::Time outage) {
+  Drive d;
   world.start();
-  (void)world.run_for(warmup);
+  d.warmup = world.run_for(warmup);
   faults::FaultEvent fail;
   fail.at = world.topo.sim().now();
   fail.kind = faults::FaultKind::kLinkFail;
   fail.target = world.cells.size();  // cells register first, then bb0
   fail.duration = outage;
   world.fault_plane()->apply(fail);
-  const scenario::ScaleRunStats during = world.run_for(outage);
+  d.outage = world.run_for(outage);
   (void)world.run_for(sim::seconds(2));  // close the heal epoch
-  return during.packets_delivered;
+  return d;
 }
 
-RoutingResult run_point(int routers, double steady_secs) {
+RoutingResult run_point(bench::Harness& h, int routers, double steady_secs) {
   const sim::Time warmup = sim::from_seconds(steady_secs);
   const sim::Time outage = sim::seconds(8);
 
+  RoutingResult r;
   scenario::ScaleWorld dv(world_options(routers, true));
-  const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t dv_delivered =
-      drive_scripted_outage(dv, warmup, outage);
-  const double wall = wall_seconds_since(start);
+  r.wall_seconds =
+      h.timed([&] { r.dv = drive_scripted_outage(dv, warmup, outage); });
 
   scenario::ScaleWorld st(world_options(routers, false));
-  const std::uint64_t st_delivered =
-      drive_scripted_outage(st, warmup, outage);
+  r.st = drive_scripted_outage(st, warmup, outage);
 
-  RoutingResult r;
   r.routers = routers;
   r.foreign_agents = static_cast<int>(dv.fa_routers.size());
   r.sim_seconds = sim::to_seconds(dv.topo.sim().now());
-  r.wall_seconds = wall;
   for (const auto& process : dv.dv_processes) {
     r.dv_updates_sent += process->stats().updates_sent;
     r.dv_updates_received += process->stats().updates_received;
@@ -116,73 +115,21 @@ RoutingResult run_point(int routers, double steady_secs) {
   r.updates_per_router_s = double(r.dv_updates_sent) /
                            double(routers) / r.sim_seconds;
   r.convergence_s = dv.convergence_times();
-  r.dv_delivered_during_outage = dv_delivered;
-  r.static_delivered_during_outage = st_delivered;
-  return r;
-}
 
-void write_json(const std::string& path, bool small,
-                const std::vector<RoutingResult>& sweep) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"bench_routing\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", small ? "small" : "full");
-  std::fprintf(f, "  \"outage_seconds\": 8.0,\n");
-  std::fprintf(f, "  \"sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const RoutingResult& r = sweep[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"routers\": %d,\n", r.routers);
-    std::fprintf(f, "      \"foreign_agents\": %d,\n", r.foreign_agents);
-    std::fprintf(f, "      \"sim_seconds\": %.1f,\n", r.sim_seconds);
-    std::fprintf(f, "      \"wall_seconds\": %.4f,\n", r.wall_seconds);
-    std::fprintf(f, "      \"dv_updates_sent\": %llu,\n",
-                 static_cast<unsigned long long>(r.dv_updates_sent));
-    std::fprintf(f, "      \"dv_updates_received\": %llu,\n",
-                 static_cast<unsigned long long>(r.dv_updates_received));
-    std::fprintf(f, "      \"dv_route_changes\": %llu,\n",
-                 static_cast<unsigned long long>(r.dv_route_changes));
-    std::fprintf(f, "      \"dv_routes_withdrawn\": %llu,\n",
-                 static_cast<unsigned long long>(r.dv_routes_withdrawn));
-    std::fprintf(f, "      \"updates_per_router_sec\": %.3f,\n",
-                 r.updates_per_router_s);
-    std::fprintf(f, "      \"convergence_s\": [");
-    for (std::size_t k = 0; k < r.convergence_s.size(); ++k) {
-      std::fprintf(f, "%s%.4f", k > 0 ? ", " : "", r.convergence_s[k]);
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(
-        f, "      \"delivered_during_outage\": {\"dv\": %llu, "
-        "\"static\": %llu}\n",
-        static_cast<unsigned long long>(r.dv_delivered_during_outage),
-        static_cast<unsigned long long>(r.static_delivered_during_outage));
-    std::fprintf(f, "    }%s\n", i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  const std::string n = "N=" + std::to_string(routers);
+  h.check_slice(n + " dv warm-up", r.dv.warmup);
+  h.check_slice(n + " static warm-up", r.st.warmup);
+  h.check(!r.convergence_s.empty(), n + ": no convergence epochs recorded");
+  h.check(r.dv.outage.packets_delivered > r.st.outage.packets_delivered,
+          n + ": DV failed to out-deliver static during the outage");
+  return r;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool small = false;
-  std::string out = "BENCH_routing.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--small] [--out PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  bench::Harness h(argc, argv, "BENCH_routing.json", /*seed=*/1);
+  const bool small = h.small();
 
   std::printf("E-routing: DV reconvergence vs size (§1, §5.2)\n");
   std::printf("  scripted fault: bb0 (R0-R1, the HA->FA0 circuit), 8s\n");
@@ -193,28 +140,18 @@ int main(int argc, char** argv) {
 
   std::vector<RoutingResult> results;
   for (int n : sizes) {
-    RoutingResult r = run_point(n, steady);
+    RoutingResult r = run_point(h, n, steady);
     results.push_back(r);
     std::printf(
         "\n  N=%-4d | %.2f updates/router/s | %llu route changes | "
         "delivered during outage dv=%llu static=%llu\n",
         r.routers, r.updates_per_router_s,
         static_cast<unsigned long long>(r.dv_route_changes),
-        static_cast<unsigned long long>(r.dv_delivered_during_outage),
-        static_cast<unsigned long long>(r.static_delivered_during_outage));
+        static_cast<unsigned long long>(r.dv.outage.packets_delivered),
+        static_cast<unsigned long long>(r.st.outage.packets_delivered));
     std::printf("    reconverge:");
     for (double c : r.convergence_s) std::printf(" %.3fs", c);
     std::printf("\n");
-    if (r.convergence_s.empty()) {
-      std::fprintf(stderr, "  ERROR: no convergence epochs recorded\n");
-      return 1;
-    }
-    if (r.dv_delivered_during_outage <= r.static_delivered_during_outage) {
-      std::fprintf(stderr,
-                   "  ERROR: DV failed to out-deliver static during the "
-                   "outage\n");
-      return 1;
-    }
   }
 
   std::printf(
@@ -223,6 +160,29 @@ int main(int argc, char** argv) {
       "  DV world delivers that the static twin drops) is the mobility\n"
       "  protocol's routing substrate working as the paper assumes.\n");
 
-  write_json(out, small, results);
-  return 0;
+  return h.finish([&] {
+    h.field("outage_seconds", 8.0);
+    h.rows("sweep", results, [&](const RoutingResult& r) {
+      h.field("routers", r.routers);
+      h.field("foreign_agents", r.foreign_agents);
+      h.field("sim_seconds", r.sim_seconds);
+      h.field("wall_seconds", r.wall_seconds);
+      h.field("dv_updates_sent", r.dv_updates_sent);
+      h.field("dv_updates_received", r.dv_updates_received);
+      h.field("dv_route_changes", r.dv_route_changes);
+      h.field("dv_routes_withdrawn", r.dv_routes_withdrawn);
+      h.field("updates_per_router_sec", r.updates_per_router_s);
+      h.values("convergence_s", r.convergence_s);
+      h.object("delivered_during_outage", [&] {
+        h.field("dv", r.dv.outage.packets_delivered);
+        h.field("static", r.st.outage.packets_delivered);
+      });
+      h.object("counts", [&] {
+        h.counts("dv_warmup", r.dv.warmup);
+        h.counts("dv_outage", r.dv.outage);
+        h.counts("static_warmup", r.st.warmup);
+        h.counts("static_outage", r.st.outage);
+      });
+    });
+  });
 }
