@@ -3,8 +3,9 @@
 // any crashes and subsequent reboots"). Three measurements:
 //
 //   * raw WAL throughput — appends/sec against the SimDisk under each
-//     sync policy (per-record sync, group commit of 4, no sync), plus
-//     recovery time for a log of the same size;
+//     sync policy (per-record sync, group commit of 4, no sync), every
+//     record appended through the group-commit batch as HomeStore does,
+//     plus recovery time for a log of the same size;
 //   * the registration hot path — a seeded ScaleWorld run per policy
 //     (disabled / kSync / kInterval / kAsync), reporting registrations,
 //     handoff-latency percentiles, and events/sec, so the ack-latency
@@ -106,7 +107,7 @@ WalPoint run_wal_point(bench::Harness& h, store::SyncPolicy policy,
       r.mobile_host = net::IpAddress(0x0A010064u + std::uint32_t(i % 64));
       r.foreign_agent = net::IpAddress(0x0A020001u + std::uint32_t(i % 7));
       r.sequence = std::uint32_t(i);
-      (void)wal.append(r);
+      (void)wal.append_buffered(r);
       const bool commit =
           policy == store::SyncPolicy::kSync ||
           (policy == store::SyncPolicy::kInterval && (i + 1) % group == 0);

@@ -1,9 +1,9 @@
 // Per-record cost of the telemetry layer (src/telemetry), in the style of
 // bench_audit_overhead: the numbers DESIGN.md §11 quotes and the budget
 // the zero-cost-when-disabled claim rests on. Reports:
-//  * counter / histogram record cost (the O(1) instruments the registry
-//    is built from) and histogram quantile extraction (O(buckets), never
-//    O(samples)),
+//  * histogram record cost (the O(1) accumulator the registry's histogram
+//    probes rebuild into) and histogram quantile extraction (O(buckets),
+//    never O(samples)),
 //  * the disabled instrumentation site — a null-pointer check, the only
 //    thing the hot path pays when tracing is off,
 //  * trace instants/spans when enabled, and the sampled-out fast path,
@@ -16,22 +16,13 @@
 #include "sim/event_category.hpp"
 #include "sim/profiler.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/metric_registry.hpp"
+#include "telemetry/metric.hpp"
 #include "telemetry/trace.hpp"
 
 namespace {
 
 using mhrp::telemetry::TraceCategory;
 using mhrp::telemetry::TraceCollector;
-
-void BM_CounterIncrement(benchmark::State& state) {
-  mhrp::telemetry::Counter counter;
-  for (auto _ : state) {
-    counter.increment();
-    benchmark::DoNotOptimize(counter);
-  }
-}
-BENCHMARK(BM_CounterIncrement);
 
 void BM_HistogramRecord(benchmark::State& state) {
   mhrp::telemetry::Histogram hist;

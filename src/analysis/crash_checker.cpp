@@ -114,13 +114,11 @@ std::uint64_t CrashConsistencyChecker::dry_run_steps() {
 bool CrashConsistencyChecker::drive_workload(
     WalStore& wal, const std::vector<WalRecord>& history,
     store::Lsn& max_acked, std::uint64_t& appended) {
-  // The deferred policies ride the group-commit batch exactly like a
-  // HomeStore window: appends buffer, the sync boundary seals one frame.
-  const bool buffered = options_.store.sync_policy != SyncPolicy::kSync;
+  // Appends ride the group-commit batch exactly like a HomeStore window:
+  // they buffer, and the sync boundary seals one frame.
   std::uint32_t since_sync = 0;
   for (const auto& rec : history) {
-    const store::Lsn lsn =
-        buffered ? wal.append_buffered(rec) : wal.append(rec);
+    const store::Lsn lsn = wal.append_buffered(rec);
     if (lsn == 0) return true;
     ++appended;
     // kAsync acks at append; the durable policies ack at the sync below.

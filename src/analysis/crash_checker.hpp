@@ -90,10 +90,10 @@ class CrashConsistencyChecker {
                       std::size_t tear_at, AuditReport& report,
                       CrashCheckerResult& result);
   [[nodiscard]] std::uint64_t dry_run_steps();
-  /// Append the whole history under the configured sync policy (batched
-  /// group-commit appends for the deferred policies, one self-contained
-  /// frame per record under kSync), tracking the highest acked LSN.
-  /// Returns true when a crash hook fired mid-workload.
+  /// Append the whole history through the group-commit batch, syncing at
+  /// the configured policy's boundaries (every record under kSync),
+  /// tracking the highest acked LSN. Returns true when a crash hook fired
+  /// mid-workload.
   bool drive_workload(store::WalStore& wal,
                       const std::vector<store::WalRecord>& history,
                       store::Lsn& max_acked, std::uint64_t& appended);

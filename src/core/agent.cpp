@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
 
 namespace mhrp::core {
 

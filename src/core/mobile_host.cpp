@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/encapsulation.hpp"
-#include "util/log.hpp"
 
 namespace mhrp::core {
 

@@ -56,9 +56,6 @@ class FaultPlane {
   /// per the event's preserve flag).
   std::size_t add_node(node::Node& node, core::MhrpAgent* agent = nullptr);
 
-  [[nodiscard]] std::size_t link_count() const { return links_.size(); }
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-
   /// Schedule every event of `schedule` on the simulator (absolute
   /// times). May be called once per schedule; targets must already be
   /// registered. Events whose target index is out of range throw.

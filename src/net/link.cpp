@@ -37,13 +37,11 @@ bool Link::has_member(const Interface& iface) const {
 
 void Link::fail() {
   if (!up_.exchange(false, std::memory_order_relaxed)) return;
-  if (observer_ != nullptr) observer_->on_state_changed(*this, false, sim_.now());
   notify_members(false);
 }
 
 void Link::recover() {
   if (up_.exchange(true, std::memory_order_relaxed)) return;
-  if (observer_ != nullptr) observer_->on_state_changed(*this, true, sim_.now());
   notify_members(true);
 }
 

@@ -58,13 +58,6 @@ class LinkObserver {
   virtual ~LinkObserver() = default;
   virtual void on_transmit(const Link& link, const Frame& frame,
                            sim::Time now) = 0;
-  /// The link failed (`up` false) or recovered (`up` true) — the
-  /// lifecycle events the fault plane injects.
-  virtual void on_state_changed(const Link& link, bool up, sim::Time now) {
-    (void)link;
-    (void)up;
-    (void)now;
-  }
   /// The link stopped observing through this observer — it was destroyed
   /// or another observer replaced this one. `link` may be mid-destruction;
   /// only its address may be used.

@@ -19,8 +19,4 @@ enum class IpProto : std::uint8_t {
 
 constexpr std::uint8_t to_u8(IpProto p) { return static_cast<std::uint8_t>(p); }
 
-constexpr IpProto ip_proto_from_u8(std::uint8_t v) {
-  return static_cast<IpProto>(v);
-}
-
 }  // namespace mhrp::net

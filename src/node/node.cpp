@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/log.hpp"
 
 namespace mhrp::node {
 

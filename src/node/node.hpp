@@ -237,7 +237,6 @@ class Node : public net::FrameSink {
     std::uint64_t options_slow_path = 0;
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
-  Counters& mutable_counters() { return counters_; }
 
   /// Observer hooks (scenario layer: FlowRecorder, Tracer): every
   /// datagram delivered locally, and every forwarded datagram with its

@@ -385,12 +385,4 @@ void DvProcess::handle_node_state(bool up) {
   }
 }
 
-std::size_t DvProcess::reachable_routes() const {
-  std::size_t n = 0;
-  for (const auto& [prefix, entry] : routes_) {
-    if (!entry.poisoned()) ++n;
-  }
-  return n;
-}
-
 }  // namespace mhrp::routing::dv

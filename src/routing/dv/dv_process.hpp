@@ -109,9 +109,6 @@ class DvProcess {
   std::function<void(const net::Prefix&, int metric)>
       on_counting_to_infinity;
 
-  /// The routes this process currently considers reachable (tests).
-  [[nodiscard]] std::size_t reachable_routes() const;
-
  private:
   struct Entry {
     int metric = kInfinity;

@@ -6,7 +6,6 @@ WorldTelemetry::WorldTelemetry(const TelemetryOptions& options) {
   if (options.trace) {
     telemetry::TraceCollector::Options trace_opts;
     trace_opts.sample_every = options.trace_sample_every;
-    trace_opts.max_events = options.trace_max_events;
     trace_ = std::make_unique<telemetry::TraceCollector>(trace_opts);
   }
   if (options.profiler) {

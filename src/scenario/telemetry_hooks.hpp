@@ -33,7 +33,6 @@ namespace mhrp::scenario {
 struct TelemetryOptions {
   bool trace = false;
   std::uint64_t trace_sample_every = 1;  // packet events; 1 = keep all
-  std::size_t trace_max_events = std::size_t(1) << 20;
   bool profiler = false;
 };
 

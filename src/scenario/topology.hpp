@@ -90,9 +90,6 @@ class Topology {
   void assign_shard(node::Node& node, std::uint32_t shard) {
     node.rebind_executive(executive_for(shard));
   }
-  [[nodiscard]] std::uint32_t shard_of(node::Node& node) const {
-    return node.sim().shard_id();
-  }
   /// Links whose member interfaces span more than one shard — the edges
   /// the conservative protocol synchronizes across.
   [[nodiscard]] std::vector<const net::Link*> cross_shard_links() const;

@@ -46,7 +46,6 @@ class PeriodicTimer {
 
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] Time period() const { return period_; }
-  void set_period(Time period) { period_ = period; }
 
  private:
   void fire() {

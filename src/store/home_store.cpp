@@ -51,12 +51,9 @@ void HomeStore::note_synced(const char* reason) {
 
 HomeStore::Ticket HomeStore::log(const WalRecord& record) {
   if (down_) return {};
-  // kSync writes a self-contained frame (sealing any open batch first);
-  // the deferred policies ride the group-commit batch so the whole
-  // window shares one frame and one CRC.
-  const Lsn lsn = options_.sync_policy == SyncPolicy::kSync
-                      ? wal_->append(record)
-                      : wal_->append_buffered(record);
+  // Every policy rides the group-commit batch: kSync's sync below seals
+  // a one-record frame, the deferred policies share one frame per window.
+  const Lsn lsn = wal_->append_buffered(record);
   if (lsn == 0) {  // a forced compaction crashed under us
     crash();
     return {};

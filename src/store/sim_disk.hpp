@@ -111,9 +111,6 @@ class SimDisk {
     read_error_count_ = count == 0 ? sectors() - first : count;
   }
   void clear_read_errors() { read_error_count_ = 0; }
-  [[nodiscard]] bool read_errors_armed() const {
-    return read_error_count_ != 0;
-  }
 
   /// Flip one durable media byte (tests model latent sector corruption —
   /// a record that went bad *after* it was written).

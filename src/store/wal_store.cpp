@@ -11,42 +11,24 @@ namespace mhrp::store {
 namespace {
 
 constexpr std::uint32_t kSuperMagic = 0x4D485753;  // "MHWS"
-constexpr std::uint8_t kRecordMagic = 0xA5;
 constexpr std::uint8_t kBatchMagic = 0xB7;
 // The checksummed payload (magic..snapshot_crc); the trailing crc32 over
 // exactly these bytes makes the on-disk superblock 4 bytes longer.
 constexpr std::size_t kSuperblockBytes = 4 + 8 + 1 + 4 + 8 + 4;
-constexpr std::size_t kRecordHeaderBytes = 1 + 1 + 2 + 8;  // magic..lsn
-constexpr std::size_t kRecordPayloadBytes = 4 + 4 + 4;
-constexpr std::size_t kRecordBytes =
-    kRecordHeaderBytes + kRecordPayloadBytes + 4;
 // Batch frame: magic u8 | count u16 | first_lsn u64 | entries | crc u32.
 constexpr std::size_t kBatchHeaderBytes = 1 + 2 + 8;
 constexpr std::size_t kBatchEntryBytes = 1 + 4 + 4 + 4;
 constexpr std::size_t kBatchOverheadBytes = kBatchHeaderBytes + 4;
 constexpr std::size_t kMaxBatchRecords = 0xFFFF;  // count is a u16
+// A frame of `records` entries: 28 bytes for one, 13 per further record.
+constexpr std::size_t frame_bytes(std::size_t records) {
+  return kBatchOverheadBytes + records * kBatchEntryBytes;
+}
 // Snapshot sections: 12-byte base rows, 13-byte typed patch entries.
 constexpr std::size_t kSnapRowBytes = 4 + 4 + 4;
 constexpr std::size_t kPatchEntryBytes = 1 + 4 + 4 + 4;
 constexpr std::uint8_t kPatchUpsert = 1;
 constexpr std::uint8_t kPatchErase = 2;
-
-std::vector<std::uint8_t> encode_record(const WalRecord& r, Lsn lsn) {
-  util::ByteWriter w(kRecordBytes);
-  w.u8(kRecordMagic);
-  w.u8(static_cast<std::uint8_t>(r.kind));
-  w.u16(static_cast<std::uint16_t>(kRecordPayloadBytes));
-  w.u64(lsn);
-  w.u32(r.mobile_host.raw());
-  w.u32(r.foreign_agent.raw());
-  w.u32(r.sequence);
-  auto bytes = w.take();
-  const std::uint32_t crc = util::crc32(bytes);
-  w.u32(crc);
-  auto tail = w.take();
-  bytes.insert(bytes.end(), tail.begin(), tail.end());
-  return bytes;
-}
 
 bool valid_kind(WalRecord::Kind kind) {
   return kind == WalRecord::Kind::kProvision ||
@@ -61,7 +43,7 @@ WalStore::WalStore(SimDisk& disk, const StoreOptions& options)
   snapshot_region_bytes_ = options.snapshot_region_sectors * ss;
   log_start_ = (2 + 2 * options.snapshot_region_sectors) * ss;
   log_tail_ = log_start_;
-  if (log_start_ + kRecordBytes > disk.size_bytes()) {
+  if (log_start_ + frame_bytes(1) > disk.size_bytes()) {
     throw DiskError("WalStore: disk too small for the configured layout");
   }
   if (kSuperblockBytes + 4 > ss) {
@@ -76,19 +58,16 @@ std::size_t WalStore::snapshot_offset(int region) const {
 }
 
 void WalStore::write_superblock(int slot, const Superblock& sb) {
-  util::ByteWriter w(kSuperblockBytes);
+  util::ByteWriter w(kSuperblockBytes + 4);
   w.u32(kSuperMagic);
   w.u64(sb.epoch);
   w.u8(sb.snapshot_region);
   w.u32(sb.snapshot_len);
   w.u64(sb.snapshot_lsn);
   w.u32(sb.snapshot_crc);
-  auto bytes = w.take();
-  const std::uint32_t crc = util::crc32(bytes);
-  w.u32(crc);
-  auto tail = w.take();
-  bytes.insert(bytes.end(), tail.begin(), tail.end());
-  disk_->write(static_cast<std::size_t>(slot) * disk_->sector_size(), bytes);
+  w.u32(util::crc32(w.view()));
+  disk_->write(static_cast<std::size_t>(slot) * disk_->sector_size(),
+               w.view());
 }
 
 std::optional<WalStore::Superblock> WalStore::read_superblock(
@@ -145,7 +124,6 @@ bool WalStore::load_snapshot(const Superblock& sb,
       out.set_foreign_agent(e.ref, fa);
       out.set_sequence(e.ref, seq);
     }
-    if (r.remaining() == 0) return true;  // no patch section (legacy)
     const std::uint32_t patches = r.u32();
     for (std::uint32_t i = 0; i < patches; ++i) {
       const std::uint8_t op = r.u8();
@@ -244,130 +222,59 @@ RecoveryStats WalStore::recover() {
     }
   }
 
-  // Replay the longest valid prefix of the log. Single records (0xA5)
-  // and group-commit batches (0xB7) interleave freely; a batch that
-  // fails its CRC is dropped whole (all-or-nothing).
+  // Replay the longest valid prefix of the log, one frame at a time. A
+  // frame that is torn, corrupt or carries a bad kind ends the prefix and
+  // is dropped whole (all-or-nothing); a stale LSN ends it cleanly.
   Lsn expected = base_lsn + 1;
   std::size_t offset = log_start_;
-  while (offset + 1 <= disk_->size_bytes()) {
-    std::uint8_t magic = 0;
+  std::vector<WalRecord> records;
+  while (offset < disk_->size_bytes()) {
+    std::vector<std::uint8_t> bytes;
+    std::uint16_t count = 0;
+    Lsn first_lsn = 0;
     try {
-      magic = disk_->read(offset, 1).front();
+      if (disk_->read(offset, 1).front() != kBatchMagic) break;  // clean end
+      bytes = disk_->read(offset, kBatchHeaderBytes);
+      util::ByteReader head(bytes);
+      (void)head.u8();
+      count = head.u16();
+      first_lsn = head.u64();
+      if (count == 0) {
+        out.stopped_at_invalid = true;
+        break;
+      }
+      // Throws when the frame would run off the end of the disk.
+      bytes = disk_->read(offset, frame_bytes(count));
     } catch (const DiskError&) {
       out.stopped_at_invalid = true;
       break;
     }
-    if (magic == kRecordMagic) {
-      if (offset + kRecordBytes > disk_->size_bytes()) break;
-      std::vector<std::uint8_t> bytes;
-      try {
-        bytes = disk_->read(offset, kRecordBytes);
-      } catch (const DiskError&) {
-        out.stopped_at_invalid = true;
-        break;
-      }
-      util::ByteReader r(bytes);
+    const std::span<const std::uint8_t> frame(bytes);
+    util::ByteReader tail(frame.last(4));
+    if (tail.u32() != util::crc32(frame.first(frame.size() - 4))) {
+      out.stopped_at_invalid = true;  // torn or corrupt frame
+      break;
+    }
+    if (first_lsn != expected) break;  // stale pre-compaction leftover
+    util::ByteReader r(frame.subspan(kBatchHeaderBytes));
+    records.clear();
+    for (std::uint16_t i = 0; i < count; ++i) {
       WalRecord rec;
-      Lsn lsn = 0;
-      try {
-        (void)r.u8();  // magic
-        rec.kind = static_cast<WalRecord::Kind>(r.u8());
-        const std::uint16_t len = r.u16();
-        lsn = r.u64();
-        if (len != kRecordPayloadBytes) {
-          out.stopped_at_invalid = true;
-          break;
-        }
-        rec.mobile_host = net::IpAddress(r.u32());
-        rec.foreign_agent = net::IpAddress(r.u32());
-        rec.sequence = r.u32();
-        const std::uint32_t crc = r.u32();
-        if (crc != util::crc32(std::span(bytes).first(kRecordBytes - 4))) {
-          out.stopped_at_invalid = true;  // torn tail or corrupt record
-          break;
-        }
-      } catch (const util::CodecError&) {
-        out.stopped_at_invalid = true;
-        break;
-      }
-      if (lsn != expected) break;  // stale pre-compaction leftover
-      if (!valid_kind(rec.kind)) {
-        out.stopped_at_invalid = true;
-        break;
-      }
-      apply(rec);
-      ++expected;
-      ++out.records_replayed;
-      offset += kRecordBytes;
-      continue;
+      rec.kind = static_cast<WalRecord::Kind>(r.u8());
+      rec.mobile_host = net::IpAddress(r.u32());
+      rec.foreign_agent = net::IpAddress(r.u32());
+      rec.sequence = r.u32();
+      if (!valid_kind(rec.kind)) break;
+      records.push_back(rec);
     }
-    if (magic == kBatchMagic) {
-      if (offset + kBatchHeaderBytes > disk_->size_bytes()) {
-        out.stopped_at_invalid = true;
-        break;
-      }
-      std::uint16_t count = 0;
-      Lsn first_lsn = 0;
-      std::size_t frame = 0;
-      std::vector<std::uint8_t> bytes;
-      try {
-        auto head = disk_->read(offset, kBatchHeaderBytes);
-        util::ByteReader hr(head);
-        (void)hr.u8();
-        count = hr.u16();
-        first_lsn = hr.u64();
-        if (count == 0) {
-          out.stopped_at_invalid = true;
-          break;
-        }
-        frame = kBatchOverheadBytes +
-                static_cast<std::size_t>(count) * kBatchEntryBytes;
-        if (offset + frame > disk_->size_bytes()) {
-          out.stopped_at_invalid = true;  // torn: frame runs off the disk
-          break;
-        }
-        bytes = disk_->read(offset, frame);
-      } catch (const DiskError&) {
-        out.stopped_at_invalid = true;
-        break;
-      }
-      const std::span<const std::uint8_t> view(bytes);
-      util::ByteReader r(view.subspan(kBatchHeaderBytes));
-      const std::uint32_t stored_crc = [&] {
-        util::ByteReader tail(view.subspan(frame - 4));
-        return tail.u32();
-      }();
-      if (stored_crc != util::crc32(view.first(frame - 4))) {
-        out.stopped_at_invalid = true;  // torn batch: dropped whole
-        break;
-      }
-      if (first_lsn != expected) break;  // stale pre-compaction leftover
-      bool bad_kind = false;
-      std::vector<WalRecord> records;
-      records.reserve(count);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        WalRecord rec;
-        rec.kind = static_cast<WalRecord::Kind>(r.u8());
-        rec.mobile_host = net::IpAddress(r.u32());
-        rec.foreign_agent = net::IpAddress(r.u32());
-        rec.sequence = r.u32();
-        if (!valid_kind(rec.kind)) {
-          bad_kind = true;
-          break;
-        }
-        records.push_back(rec);
-      }
-      if (bad_kind) {
-        out.stopped_at_invalid = true;
-        break;
-      }
-      for (const WalRecord& rec : records) apply(rec);
-      expected += count;
-      out.records_replayed += count;
-      offset += frame;
-      continue;
+    if (records.size() != count) {
+      out.stopped_at_invalid = true;
+      break;
     }
-    break;  // clean end of log
+    for (const WalRecord& rec : records) apply(rec);
+    expected += count;
+    out.records_replayed += count;
+    offset += frame.size();
   }
 
   current_sb_ = chosen;
@@ -405,15 +312,9 @@ void WalStore::apply(const WalRecord& record) {
   if (comp_active_) comp_dirty_.push_back(record.mobile_host.raw());
 }
 
-std::size_t WalStore::pending_frame_bytes() const {
-  if (pending_.empty()) return 0;
-  return kBatchOverheadBytes + pending_.size() * kBatchEntryBytes;
-}
-
 void WalStore::seal_batch() {
-  if (pending_.empty()) return;
-  const std::size_t frame = pending_frame_bytes();
-  util::ByteWriter w(frame);
+  if (pending_.empty() || crashed_) return;
+  util::ByteWriter w(frame_bytes(pending_.size()));
   w.u8(kBatchMagic);
   w.u16(static_cast<std::uint16_t>(pending_.size()));
   w.u64(pending_first_lsn_);
@@ -423,48 +324,27 @@ void WalStore::seal_batch() {
     w.u32(rec.foreign_agent.raw());
     w.u32(rec.sequence);
   }
-  auto bytes = w.take();
-  const std::uint32_t crc = util::crc32(bytes);
-  w.u32(crc);
-  auto tail = w.take();
-  bytes.insert(bytes.end(), tail.begin(), tail.end());
-  disk_->write(log_tail_, bytes);
-  log_tail_ += bytes.size();
-  stats_.bytes_appended += bytes.size();
+  w.u32(util::crc32(w.view()));
+  disk_->write(log_tail_, w.view());
+  log_tail_ += w.size();
+  stats_.bytes_appended += w.size();
   ++stats_.batches;
   pending_.clear();
   pending_first_lsn_ = 0;
 }
 
 Lsn WalStore::append(const WalRecord& record) {
-  if (crashed_) return 0;
-  if (!in_snapshot_ && log_tail_ + pending_frame_bytes() + kRecordBytes >
-                           disk_->size_bytes()) {
-    ++stats_.forced_snapshots;
-    if (!snapshot()) return 0;  // crashed mid-compaction: store is down
-  }
   seal_batch();  // on-disk frame order must match LSN order
-  const Lsn lsn = next_lsn_++;
-  const auto bytes = encode_record(record, lsn);
-  disk_->write(log_tail_, bytes);
-  log_tail_ += bytes.size();
-  apply(record);
-  ++records_since_snapshot_;
-  ++stats_.appends;
-  stats_.bytes_appended += bytes.size();
-  if (!in_snapshot_ && options_.compaction_slice_rows == 0 &&
-      wants_compaction()) {
-    (void)snapshot();
-  }
+  const Lsn lsn = append_buffered(record);
+  seal_batch();
   return lsn;
 }
 
 Lsn WalStore::append_buffered(const WalRecord& record) {
   if (crashed_) return 0;
   if (pending_.size() >= kMaxBatchRecords) seal_batch();  // u16 count
-  const std::size_t next_frame =
-      kBatchOverheadBytes + (pending_.size() + 1) * kBatchEntryBytes;
-  if (!in_snapshot_ && log_tail_ + next_frame > disk_->size_bytes()) {
+  if (!in_snapshot_ &&
+      log_tail_ + frame_bytes(pending_.size() + 1) > disk_->size_bytes()) {
     ++stats_.forced_snapshots;
     // The forced snapshot covers (and discards) the open batch, then
     // truncates the log, making room for a fresh frame.

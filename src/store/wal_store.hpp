@@ -17,23 +17,21 @@
 //   log          append-only records from the first sector past the
 //                snapshot regions to the end of the disk.
 //
-// Log framing — two record shapes share the log, distinguished by magic:
+// Log framing — every frame is one group-commit batch:
 //
-//   single:  magic 0xA5 u8 | kind u8 | len u16 | lsn u64 |
-//            payload[len] | crc32 u32        (crc over everything before)
-//   batch:   magic 0xB7 u8 | count u16 | first_lsn u64 |
-//            count × (kind u8 | mobile u32 | fa u32 | seq u32) |
-//            crc32 u32
+//   magic 0xB7 u8 | count u16 | first_lsn u64 |
+//   count × (kind u8 | mobile u32 | fa u32 | seq u32) |
+//   crc32 u32                                (crc over everything before)
 //
-// A batch is the group-commit unit: records buffered between syncs are
-// sealed into one frame with one CRC, amortizing the per-record framing
-// and checksum cost that dominates interval-policy throughput. Its LSNs
-// are contiguous from first_lsn. Recovery replays frames while magic,
-// CRC, and LSN contiguity all hold and stops at the first violation — a
-// torn tail (batches tear whole: the CRC fails and the entire frame is
-// discarded, which is exactly the all-or-nothing a group commit wants),
-// a corrupt record, or a stale pre-compaction leftover all end the
-// valid prefix.
+// Records buffered between syncs are sealed into one frame with one CRC,
+// so a frame costs 28 bytes for its first record and 13 for each further
+// one. Its LSNs are contiguous from first_lsn. Every sync policy writes
+// this shape: under kSync each sync seals a one-record frame. Recovery
+// replays frames while magic, CRC, and LSN contiguity all hold and stops
+// at the first violation — a torn tail (frames tear whole: the CRC fails
+// and the entire frame is discarded, which is exactly the all-or-nothing
+// a group commit wants), a corrupt record, or a stale pre-compaction
+// leftover all end the valid prefix.
 //
 // Snapshot format:  base_count u32 | base rows × (mobile u32 | fa u32 |
 //                   seq u32) | patch_count u32 | patch × (op u8 |
@@ -136,22 +134,23 @@ class WalStore {
   void format();
 
   /// Read superblocks, load the pointed-to snapshot, replay the longest
-  /// valid log prefix, and position the tail so append() continues the
+  /// valid log prefix, and position the tail so appends continue the
   /// sequence. Safe to call repeatedly; recovery mutates nothing on
   /// disk, so calling it twice yields byte-identical results.
   [[nodiscard]] RecoveryStats recover();
 
-  /// Append one record to the log as its own frame (volatile until the
-  /// next sync()). Seals any open batch first, so on-disk order always
-  /// matches LSN order. Triggers snapshot+compaction when the configured
-  /// record budget or the log region is exhausted. Returns the LSN.
-  [[nodiscard]] Lsn append(const WalRecord& record);
-
   /// Append one record into the open group-commit batch: it gets an LSN
   /// and applies to the in-memory state immediately, but hits the disk
   /// (one frame, one CRC) only when the batch seals — at the next
-  /// sync(), single append(), or snapshot. Returns the LSN.
+  /// sync() or append(). Triggers snapshot+compaction when the configured
+  /// record budget or the log region is exhausted; the snapshot covers
+  /// the open batch. Returns the LSN (0 when the store is down).
   [[nodiscard]] Lsn append_buffered(const WalRecord& record);
+
+  /// append_buffered() with the record sealed into a frame of its own
+  /// (volatile until the next sync()); tests use it to lay out one frame
+  /// per record.
+  [[nodiscard]] Lsn append(const WalRecord& record);
 
   /// Make everything appended so far durable (sealing the open batch
   /// first). Returns false when the disk's crash hook injected a crash
@@ -209,11 +208,7 @@ class WalStore {
   // Layout coordinates, exposed for the checker and for tests that
   // corrupt specific structures.
   [[nodiscard]] std::size_t log_start() const { return log_start_; }
-  [[nodiscard]] std::size_t log_tail() const { return log_tail_; }
   [[nodiscard]] std::size_t snapshot_offset(int region) const;
-  [[nodiscard]] std::size_t snapshot_capacity() const {
-    return snapshot_region_bytes_;
-  }
   /// Records buffered in the open batch (not yet on the write path).
   [[nodiscard]] std::size_t pending_batch_size() const {
     return pending_.size();
@@ -230,10 +225,8 @@ class WalStore {
 
   void apply(const WalRecord& record);
   /// Write the open batch as one frame at the log tail. No-op when
-  /// empty; does not sync.
+  /// empty or crashed; does not sync.
   void seal_batch();
-  /// Bytes the open batch will occupy once sealed (0 when empty).
-  [[nodiscard]] std::size_t pending_frame_bytes() const;
   /// Complete any active pass synchronously, or run a full snapshot.
   [[nodiscard]] bool snapshot_now();
   [[nodiscard]] bool compaction_finish();

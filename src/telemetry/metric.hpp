@@ -1,8 +1,8 @@
-// Metric primitives: Counter, Gauge, and a fixed-bucket log-scale Histogram.
-// All three are plain in-memory accumulators with O(1) record paths — no
-// allocation, no sorting, no locking (the simulator is single-threaded).
-// Percentiles come from a cumulative walk over the histogram's fixed
-// buckets, so reading a snapshot never sorts the recorded values.
+// Histogram: a fixed-bucket log-scale accumulator with an O(1) record
+// path — no allocation, no sorting, no locking. Percentiles come from a
+// cumulative walk over the fixed buckets, so reading a snapshot never
+// sorts the recorded values. The registry's histogram probes rebuild one
+// from their series at every snapshot.
 #pragma once
 
 #include <array>
@@ -12,27 +12,6 @@
 #include <limits>
 
 namespace mhrp::telemetry {
-
-class Counter {
- public:
-  void increment(std::uint64_t by = 1) { value_ += by; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double delta) { value_ += delta; }
-  [[nodiscard]] double value() const { return value_; }
-  void reset() { value_ = 0.0; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// Log-scale histogram with a fixed bucket layout: kSubBuckets buckets per
 /// octave (power of two), covering 2^kMinExp .. 2^kMaxExp. Values below the

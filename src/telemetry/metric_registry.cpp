@@ -4,90 +4,38 @@
 #include <stdexcept>
 
 #include "telemetry/json_writer.hpp"
+#include "telemetry/metric.hpp"
 
 namespace mhrp::telemetry {
 
 namespace {
 
 const char* kind_name(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
-    case MetricKind::kProbe:
-      return "probe";
-  }
-  return "unknown";
+  return kind == MetricKind::kHistogram ? "histogram" : "probe";
+}
+
+std::logic_error already_registered(std::string_view name) {
+  return std::logic_error("metric '" + std::string(name) +
+                          "' already registered");
 }
 
 }  // namespace
 
-Counter& MetricRegistry::counter(std::string_view name) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    it = entries_
-             .emplace(std::string(name),
-                      Instrument{MetricKind::kCounter, Counter{}})
-             .first;
-  } else if (it->second.kind != MetricKind::kCounter) {
-    throw std::logic_error("metric '" + std::string(name) +
-                           "' already registered as a different kind");
-  }
-  return std::get<Counter>(it->second.storage);
-}
-
-Gauge& MetricRegistry::gauge(std::string_view name) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    it = entries_
-             .emplace(std::string(name), Instrument{MetricKind::kGauge, Gauge{}})
-             .first;
-  } else if (it->second.kind != MetricKind::kGauge) {
-    throw std::logic_error("metric '" + std::string(name) +
-                           "' already registered as a different kind");
-  }
-  return std::get<Gauge>(it->second.storage);
-}
-
-Histogram& MetricRegistry::histogram(std::string_view name) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    it = entries_
-             .emplace(std::string(name),
-                      Instrument{MetricKind::kHistogram, Histogram{}})
-             .first;
-  } else if (!std::holds_alternative<Histogram>(it->second.storage)) {
-    throw std::logic_error("metric '" + std::string(name) +
-                           "' already registered as a different kind");
-  }
-  return std::get<Histogram>(it->second.storage);
-}
-
 void MetricRegistry::histogram_probe(std::string_view name, SeriesProbe fn) {
-  if (!entries_
-           .emplace(std::string(name),
-                    Instrument{MetricKind::kHistogram, std::move(fn)})
-           .second) {
-    throw std::logic_error("metric '" + std::string(name) +
-                           "' already registered");
+  if (!entries_.emplace(std::string(name), std::move(fn)).second) {
+    throw already_registered(name);
   }
 }
 
 void MetricRegistry::probe(std::string_view name, Probe fn) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
-    entries_.emplace(std::string(name),
-                     Instrument{MetricKind::kProbe, std::move(fn)});
-    return;
+    entries_.emplace(std::string(name), std::move(fn));
+  } else if (std::holds_alternative<Probe>(it->second)) {
+    it->second = std::move(fn);
+  } else {
+    throw already_registered(name);
   }
-  if (it->second.kind != MetricKind::kProbe) {
-    throw std::logic_error("metric '" + std::string(name) +
-                           "' already registered as a different kind");
-  }
-  it->second.storage = std::move(fn);
 }
 
 MetricsSnapshot MetricRegistry::snapshot() const {
@@ -96,38 +44,23 @@ MetricsSnapshot MetricRegistry::snapshot() const {
   for (const auto& [name, instrument] : entries_) {
     MetricsSnapshot::Entry entry;
     entry.name = name;
-    entry.kind = instrument.kind;
-    switch (instrument.kind) {
-      case MetricKind::kCounter:
-        entry.value = std::get<Counter>(instrument.storage).value();
-        break;
-      case MetricKind::kGauge:
-        entry.value = std::get<Gauge>(instrument.storage).value();
-        break;
-      case MetricKind::kHistogram: {
-        Histogram rebuilt;
-        const Histogram* h = std::get_if<Histogram>(&instrument.storage);
-        if (h == nullptr) {
-          for (double v : std::get<SeriesProbe>(instrument.storage)()) {
-            rebuilt.record(v);
-          }
-          h = &rebuilt;
-        }
-        MetricsSnapshot::HistogramStats stats;
-        stats.count = h->count();
-        stats.sum = h->sum();
-        stats.min = h->min();
-        stats.max = h->max();
-        stats.mean = h->mean();
-        stats.p50 = h->quantile(0.50);
-        stats.p90 = h->quantile(0.90);
-        stats.p99 = h->quantile(0.99);
-        entry.value = stats;
-        break;
-      }
-      case MetricKind::kProbe:
-        entry.value = std::get<Probe>(instrument.storage)();
-        break;
+    if (const Probe* probe = std::get_if<Probe>(&instrument)) {
+      entry.kind = MetricKind::kProbe;
+      entry.value = (*probe)();
+    } else {
+      Histogram h;
+      for (double v : std::get<SeriesProbe>(instrument)()) h.record(v);
+      MetricsSnapshot::HistogramStats stats;
+      stats.count = h.count();
+      stats.sum = h.sum();
+      stats.min = h.min();
+      stats.max = h.max();
+      stats.mean = h.mean();
+      stats.p50 = h.quantile(0.50);
+      stats.p90 = h.quantile(0.90);
+      stats.p99 = h.quantile(0.99);
+      entry.kind = MetricKind::kHistogram;
+      entry.value = stats;
     }
     snap.entries.push_back(std::move(entry));
   }
@@ -139,10 +72,6 @@ std::string MetricsSnapshot::to_text() const {
   for (const Entry& e : entries) {
     out << e.name << ' ' << kind_name(e.kind) << ' ';
     switch (e.kind) {
-      case MetricKind::kCounter:
-        out << std::get<std::uint64_t>(e.value);
-        break;
-      case MetricKind::kGauge:
       case MetricKind::kProbe:
         out << JsonWriter::format_number(std::get<double>(e.value));
         break;
@@ -172,11 +101,6 @@ void MetricsSnapshot::write_json(JsonWriter& json) const {
     json.key("kind");
     json.value(kind_name(e.kind));
     switch (e.kind) {
-      case MetricKind::kCounter:
-        json.key("value");
-        json.value(std::get<std::uint64_t>(e.value));
-        break;
-      case MetricKind::kGauge:
       case MetricKind::kProbe:
         json.key("value");
         json.value(std::get<double>(e.value));
@@ -229,11 +153,6 @@ std::string MetricsSnapshot::to_csv() const {
   };
   for (const Entry& e : entries) {
     switch (e.kind) {
-      case MetricKind::kCounter:
-        row(e.name, e.kind, "value",
-            std::to_string(std::get<std::uint64_t>(e.value)));
-        break;
-      case MetricKind::kGauge:
       case MetricKind::kProbe:
         row(e.name, e.kind, "value",
             JsonWriter::format_number(std::get<double>(e.value)));

@@ -1,7 +1,6 @@
-// MetricRegistry: a named, sorted catalogue of Counters, Gauges, Histograms
-// and read-on-snapshot probes. Components register instruments once at
-// wiring time and hold raw pointers — the registry owns the storage
-// (std::map gives pointer stability) and never invalidates them.
+// MetricRegistry: a named, sorted catalogue of read-on-snapshot probes —
+// scalar probes and histogram probes. Components register them once at
+// wiring time; nothing is pushed on the hot path.
 //
 // Probes wrap the stats structs that already exist across the codebase
 // (AgentStats, MobileHostStats, HomeStoreStats, FaultPlaneStats, Node
@@ -20,11 +19,9 @@
 #include <variant>
 #include <vector>
 
-#include "telemetry/metric.hpp"
-
 namespace mhrp::telemetry {
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram, kProbe };
+enum class MetricKind : std::uint8_t { kHistogram, kProbe };
 
 /// Point-in-time copy of every registered instrument, sorted by name.
 /// All exporters (text digest, JSON, CSV) render from the same snapshot so
@@ -43,8 +40,8 @@ struct MetricsSnapshot {
 
   struct Entry {
     std::string name;
-    MetricKind kind = MetricKind::kCounter;
-    std::variant<std::uint64_t, double, HistogramStats> value;
+    MetricKind kind = MetricKind::kProbe;
+    std::variant<double, HistogramStats> value;
   };
 
   std::vector<Entry> entries;  // sorted by name
@@ -72,18 +69,13 @@ class MetricRegistry {
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  /// Each getter creates the instrument on first use and returns the same
-  /// object for the same name thereafter. Registering a name as two
-  /// different kinds is a programming error and throws.
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
-
-  /// Register (or replace) a probe evaluated at snapshot time.
+  /// Register (or replace) a probe evaluated at snapshot time. A name
+  /// already registered as a histogram probe throws.
   void probe(std::string_view name, Probe fn);
   /// Register a histogram rebuilt at every snapshot by recording fn()'s
   /// values in order — for a series whose canonical order exists only
-  /// once it is merged (ScaleWorld's per-shard lanes).
+  /// once it is merged (ScaleWorld's per-shard lanes). A name registered
+  /// twice throws.
   void histogram_probe(std::string_view name, SeriesProbe fn);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -91,12 +83,8 @@ class MetricRegistry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  struct Instrument {
-    MetricKind kind;
-    // Stable-address storage for the instrument itself. A kHistogram
-    // holds a Histogram or a SeriesProbe.
-    std::variant<Counter, Gauge, Histogram, Probe, SeriesProbe> storage;
-  };
+  // A Probe (kind kProbe) or a SeriesProbe (kind kHistogram).
+  using Instrument = std::variant<Probe, SeriesProbe>;
 
   std::map<std::string, Instrument, std::less<>> entries_;
 };

@@ -252,6 +252,8 @@ TEST(WalStore, CrashDuringCompactionKeepsTheOldSnapshotAndLog) {
   }
   ASSERT_TRUE(wal.sync());
   const std::string before = wal.state_digest();
+  // LSN 9 waits in the open batch when the compaction crashes.
+  (void)wal.append_buffered(binding("10.1.0.78", "10.4.0.1", 9));
 
   // Crash on the very first sector the compaction tries to persist: the
   // new snapshot never lands and the superblock never flips.
@@ -262,6 +264,7 @@ TEST(WalStore, CrashDuringCompactionKeepsTheOldSnapshotAndLog) {
   EXPECT_TRUE(wal.crashed());
   EXPECT_EQ(wal.append(binding("10.1.0.77", "10.9.0.1", 99)), 0u)
       << "a crashed store must be inert";
+  EXPECT_FALSE(wal.sync()) << "and must not write out its open batch";
   disk.clear_crash_hook();
 
   WalStore reopened(disk, small_store());
@@ -660,6 +663,23 @@ TEST(HomeStore, IntervalWindowCommitsAsOneBatchFrame) {
   EXPECT_EQ(hs.wal().stats().batches, 1u);
   EXPECT_EQ(hs.wal().stats().batched_appends, 10u);
   EXPECT_EQ(hs.durable_lsn(), 10u);
+}
+
+TEST(HomeStore, SyncPolicyWritesOneBatchFramePerRecord) {
+  // kSync rides the same group-commit batch as the deferred policies: the
+  // sync after each append seals a one-record batch frame.
+  sim::Simulator sim;
+  StoreOptions o = small_store();
+  o.sync_policy = SyncPolicy::kSync;
+  HomeStore hs(sim, o);
+  constexpr std::uint32_t kRecords = 5;
+  for (std::uint32_t s = 1; s <= kRecords; ++s) {
+    EXPECT_TRUE(hs.log(binding("10.1.0.77", "10.3.0.1", s)).ack_now);
+  }
+  EXPECT_EQ(hs.wal().stats().batches, kRecords);
+  EXPECT_EQ(hs.wal().stats().batched_appends, kRecords);
+  EXPECT_EQ(hs.durable_lsn(), kRecords);
+  EXPECT_EQ(hs.disk().media().at(hs.wal().log_start()), 0xB7);
 }
 
 TEST(HomeStore, SlicedCompactionRunsInTheBackgroundAndReleasesAcks) {

@@ -136,72 +136,88 @@ TEST(HistogramTest, BucketIndexIsMonotonic) {
 
 // ---- MetricRegistry ----
 
-TEST(MetricRegistryTest, GetOrCreateReturnsSameInstrument) {
-  MetricRegistry reg;
-  telemetry::Counter& c1 = reg.counter("x");
-  c1.increment(3);
-  EXPECT_EQ(reg.counter("x").value(), 3u);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
 TEST(MetricRegistryTest, KindMismatchThrows) {
   MetricRegistry reg;
-  reg.counter("x");
-  EXPECT_THROW(reg.gauge("x"), std::logic_error);
-  EXPECT_THROW(reg.histogram("x"), std::logic_error);
-  EXPECT_THROW(reg.probe("x", [] { return 0.0; }), std::logic_error);
+  reg.probe("x", [] { return 0.0; });
+  reg.probe("x", [] { return 1.0; });  // a probe may be replaced
+  EXPECT_THROW(
+      reg.histogram_probe("x", [] { return std::vector<double>{}; }),
+      std::logic_error);
+  reg.histogram_probe("lat", [] { return std::vector<double>{}; });
+  EXPECT_THROW(reg.probe("lat", [] { return 0.0; }), std::logic_error);
+  EXPECT_THROW(
+      reg.histogram_probe("lat", [] { return std::vector<double>{}; }),
+      std::logic_error);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(MetricRegistryTest, SnapshotIsSortedAndEvaluatesProbes) {
   MetricRegistry reg;
-  reg.probe("zeta", [] { return 7.0; });
-  reg.counter("alpha").increment();
-  reg.gauge("mid").set(1.5);
+  double zeta = 0.0;
+  reg.probe("zeta", [&zeta] { return zeta; });
+  reg.probe("alpha", [] { return 1.0; });
+  reg.histogram_probe("mid", [] { return std::vector<double>{1.5}; });
+  zeta = 7.0;  // probes read their source at snapshot time
   const telemetry::MetricsSnapshot snap = reg.snapshot();
   ASSERT_EQ(snap.entries.size(), 3u);
   EXPECT_EQ(snap.entries[0].name, "alpha");
   EXPECT_EQ(snap.entries[1].name, "mid");
+  EXPECT_EQ(snap.entries[1].kind, telemetry::MetricKind::kHistogram);
   EXPECT_EQ(snap.entries[2].name, "zeta");
+  EXPECT_EQ(snap.entries[2].kind, telemetry::MetricKind::kProbe);
   EXPECT_EQ(std::get<double>(snap.entries[2].value), 7.0);
 }
 
 TEST(MetricRegistryTest, ExportersAgreeOnValues) {
   MetricRegistry reg;
-  reg.counter("hits").increment(12);
-  reg.histogram("lat").record(0.5);
+  reg.probe("hits", [] { return 12.0; });
+  reg.histogram_probe("lat", [] { return std::vector<double>{0.5}; });
   const auto snap = reg.snapshot();
 
   const std::string text = snap.to_text();
-  EXPECT_NE(text.find("hits counter 12"), std::string::npos);
+  EXPECT_NE(text.find("hits probe 12"), std::string::npos);
   EXPECT_NE(text.find("lat histogram count=1"), std::string::npos);
 
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"schema\":\"mhrp.metrics.v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"hits\":{\"kind\":\"counter\",\"value\":12}"),
+  EXPECT_NE(json.find("\"hits\":{\"kind\":\"probe\",\"value\":12}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"lat\":{\"kind\":\"histogram\",\"count\":1"),
             std::string::npos);
 
   const std::string csv = snap.to_csv();
   EXPECT_NE(csv.find("name,kind,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("hits,counter,value,12"), std::string::npos);
+  EXPECT_NE(csv.find("hits,probe,value,12"), std::string::npos);
   EXPECT_NE(csv.find("lat,histogram,count,1"), std::string::npos);
 }
 
 TEST(MetricRegistryTest, HistogramProbeRendersLikeALiveHistogram) {
   // A histogram probe is rebuilt from its series at every snapshot and
-  // must render byte-identically to a histogram fed the same values.
-  MetricRegistry live;
+  // must report what a histogram fed the same values reports.
   MetricRegistry probed;
+  Histogram live;
   std::vector<double> series = {0.25, 3.0};
-  for (double v : series) live.histogram("lat").record(v);
+  for (double v : series) live.record(v);
   probed.histogram_probe("lat", [&series] { return series; });
-  EXPECT_EQ(probed.snapshot().to_text(), live.snapshot().to_text());
+  const auto expect_same = [&] {
+    const auto snap = probed.snapshot();
+    ASSERT_EQ(snap.entries.size(), 1u);
+    const auto& h = std::get<telemetry::MetricsSnapshot::HistogramStats>(
+        snap.entries[0].value);
+    EXPECT_EQ(h.count, live.count());
+    EXPECT_EQ(h.sum, live.sum());
+    EXPECT_EQ(h.min, live.min());
+    EXPECT_EQ(h.max, live.max());
+    EXPECT_EQ(h.mean, live.mean());
+    EXPECT_EQ(h.p50, live.quantile(0.50));
+    EXPECT_EQ(h.p90, live.quantile(0.90));
+    EXPECT_EQ(h.p99, live.quantile(0.99));
+  };
+  expect_same();
 
   series.push_back(9.5);  // read again at the next snapshot
-  live.histogram("lat").record(9.5);
-  EXPECT_EQ(probed.snapshot().to_text(), live.snapshot().to_text());
-  EXPECT_THROW(probed.histogram("lat"), std::logic_error);
-  EXPECT_THROW(probed.histogram_probe("lat", [] { return std::vector<double>{}; }),
-               std::logic_error);
+  live.record(9.5);
+  expect_same();
 }
 
 TEST(MetricRegistryTest, JsonExportRejectsNonFiniteProbe) {
