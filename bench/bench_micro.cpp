@@ -14,6 +14,7 @@
 #include "net/packet.hpp"
 #include "net/udp.hpp"
 #include "routing/routing_table.hpp"
+#include "scenario/scale_world.hpp"
 #include "sim/event_queue.hpp"
 #include "util/checksum.hpp"
 
@@ -174,90 +175,77 @@ void BM_EventQueueScheduleAndCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndCancel);
 
-// One router's table at the perfbench workloads' shapes, in ScaleWorld's
-// address plan: a /30 per backbone link (172.16.0.0/16), a /24 per
-// foreign cell (192.168.j.0/24) plus the correspondent LAN
-// (10.200.0.0/24), and the home network (10.0.0.0/11).
+// One router's table at the perfbench workloads' shapes: the largest
+// table a ScaleWorld of that backbone, router count and foreign-agent
+// count builds, with the addresses tunneled unicast looks up there.
 
-struct RouterShape {
-  int backbone_links;
-  int connected_links;  // this router's own /30s, installed first
-  int cells;
+struct WorkloadShape {
+  scenario::ScaleWorldOptions::Backbone backbone;
+  int routers;
+  int foreign_agents;
 };
-// A leaf router of roam's 2048-router tree: 2,113 routes.
-constexpr RouterShape kRoamTreeLeaf{2047, 1, 64};
-// An inner router of forward's 24 x 24 grid: 1,130 routes.
-constexpr RouterShape kForwardGridInner{1104, 4, 24};
+// roam: a 2048-router tree with 64 foreign agents.
+constexpr WorkloadShape kRoamTree{scenario::ScaleWorldOptions::Backbone::kTree,
+                                  2048, 64};
+// forward: a 24 x 24 grid with 24 foreign agents.
+constexpr WorkloadShape kForwardGrid{
+    scenario::ScaleWorldOptions::Backbone::kGrid, 576, 24};
 
-std::vector<routing::Route> shaped_routes(const RouterShape& shape) {
-  const net::IpAddress via = net::IpAddress::parse("172.16.0.2");
-  std::vector<routing::Route> routes;
-  for (int i = 0; i < shape.backbone_links; ++i) {
-    const bool connected = i < shape.connected_links;
-    routes.push_back(
-        {net::Prefix(net::IpAddress(0xAC100000u + 4u * std::uint32_t(i)), 30),
-         connected ? net::kUnspecified : via, nullptr,
-         connected ? 0 : 1 + i % 40,
-         connected ? routing::RouteKind::kConnected
-                   : routing::RouteKind::kStatic});
+struct ShapedTable {
+  std::vector<routing::Route> routes;  // as RoutingTable::routes() lists them
+  // Each foreign agent's cell address (a /24 inside its router's block)
+  // and a mobile's home address (the /11).
+  std::vector<net::IpAddress> destinations;
+};
+
+ShapedTable shaped_table(const WorkloadShape& shape) {
+  scenario::ScaleWorldOptions options;
+  options.backbone = shape.backbone;
+  options.routers = shape.routers;
+  options.foreign_agents = shape.foreign_agents;
+  options.mobile_hosts = 0;
+  scenario::ScaleWorld world(options);
+  ShapedTable table;
+  for (node::Router* router : world.routers) {
+    if (router->routing_table().size() > table.routes.size()) {
+      table.routes = router->routing_table().routes();
+    }
   }
-  for (int j = 0; j < shape.cells; ++j) {
-    routes.push_back(
-        {net::Prefix(net::IpAddress(0xC0A80000u + 256u * std::uint32_t(j)), 24),
-         via, nullptr, 1 + j % 40, routing::RouteKind::kStatic});
+  // The world's interfaces die with it; lookup never reads them.
+  for (routing::Route& route : table.routes) route.iface = nullptr;
+  for (std::size_t j = 0; j < world.fas.size(); ++j) {
+    table.destinations.push_back(world.fas[j]->agent_address());
+    table.destinations.push_back(
+        world.mobile_address(37 * static_cast<int>(j)));
   }
-  routes.push_back({net::Prefix::parse("10.200.0.0/24"), via, nullptr, 20,
-                    routing::RouteKind::kStatic});
-  routes.push_back({net::Prefix::parse("10.0.0.0/11"), via, nullptr, 20,
-                    routing::RouteKind::kStatic});
-  return routes;
+  return table;
 }
 
-/// Builds the table as a topology does: connected routes when the
-/// interfaces are added, then one sizing and the static routes.
-void build_table(routing::RoutingTable& table,
-                 const std::vector<routing::Route>& routes,
-                 const RouterShape& shape) {
-  const auto connected = static_cast<std::size_t>(shape.connected_links);
-  for (std::size_t i = 0; i < connected; ++i) table.install(routes[i]);
-  table.reserve(routes.size());
-  for (std::size_t i = connected; i < routes.size(); ++i) {
-    table.install(routes[i]);
-  }
-}
-
-void BM_RoutingTableBuild(benchmark::State& state, RouterShape shape) {
-  const std::vector<routing::Route> routes = shaped_routes(shape);
+void BM_RoutingTableBuild(benchmark::State& state, WorkloadShape shape) {
+  const ShapedTable shaped = shaped_table(shape);
   for (auto _ : state) {
     routing::RoutingTable table;
-    build_table(table, routes, shape);
+    for (const routing::Route& route : shaped.routes) table.install(route);
     benchmark::DoNotOptimize(&table);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(routes.size()));
+                          static_cast<std::int64_t>(shaped.routes.size()));
 }
-BENCHMARK_CAPTURE(BM_RoutingTableBuild, roam_tree, kRoamTreeLeaf);
-BENCHMARK_CAPTURE(BM_RoutingTableBuild, forward_grid, kForwardGridInner);
+BENCHMARK_CAPTURE(BM_RoutingTableBuild, roam_tree, kRoamTree);
+BENCHMARK_CAPTURE(BM_RoutingTableBuild, forward_grid, kForwardGrid);
 
-// Tunneled unicast goes to a foreign agent's cell address (/24) or a
-// mobile's home address (/11), each after a miss at /30.
-void BM_RoutingTableLookup(benchmark::State& state, RouterShape shape) {
-  const std::vector<routing::Route> routes = shaped_routes(shape);
+void BM_RoutingTableLookup(benchmark::State& state, WorkloadShape shape) {
+  const ShapedTable shaped = shaped_table(shape);
   routing::RoutingTable table;
-  build_table(table, routes, shape);
-  std::vector<net::IpAddress> destinations;
-  for (int j = 0; j < shape.cells; ++j) {
-    destinations.emplace_back(0xC0A80001u + 256u * std::uint32_t(j));
-    destinations.emplace_back(0x0A010100u + 37u * std::uint32_t(j));
-  }
+  for (const routing::Route& route : shaped.routes) table.install(route);
   std::size_t cursor = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(destinations[cursor]));
-    cursor = cursor + 1 == destinations.size() ? 0 : cursor + 1;
+    benchmark::DoNotOptimize(table.lookup(shaped.destinations[cursor]));
+    cursor = cursor + 1 == shaped.destinations.size() ? 0 : cursor + 1;
   }
 }
-BENCHMARK_CAPTURE(BM_RoutingTableLookup, roam_tree, kRoamTreeLeaf);
-BENCHMARK_CAPTURE(BM_RoutingTableLookup, forward_grid, kForwardGridInner);
+BENCHMARK_CAPTURE(BM_RoutingTableLookup, roam_tree, kRoamTree);
+BENCHMARK_CAPTURE(BM_RoutingTableLookup, forward_grid, kForwardGrid);
 
 }  // namespace

@@ -49,13 +49,6 @@ void RoutingTable::rehash(std::size_t slots) {
   }
 }
 
-void RoutingTable::reserve(std::size_t prefixes) {
-  active_.reserve(prefixes);
-  std::size_t slots = 8;
-  while (prefixes * 4 > slots * 3) slots *= 2;
-  if (slots > index_.size()) rehash(slots);
-}
-
 void RoutingTable::install(const Route& route) {
   std::size_t slot = index_.empty() ? 0 : slot_of(route.prefix);
   if (index_.empty() || index_[slot] == kFree) {

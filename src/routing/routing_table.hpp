@@ -98,10 +98,6 @@ class RoutingTable {
   /// host-specific route withdrawal).
   void remove_kind(RouteKind kind);
 
-  /// Make room for `prefixes` distinct prefixes, so installing up to
-  /// that many never reallocates.
-  void reserve(std::size_t prefixes);
-
   /// Longest-prefix match on active (best-tier) routes. Returns nullptr
   /// when no route covers `dst`. The pointer (like those of find and
   /// find_kind) is valid only until the next change to this table: an

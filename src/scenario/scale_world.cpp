@@ -1,9 +1,11 @@
 #include "scenario/scale_world.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,19 +18,210 @@ namespace mhrp::scenario {
 
 namespace {
 
-// Address plan (all disjoint):
-//   10.0.0.0/11      home LAN; HA is 10.1.0.1, mobiles from 10.1.1.0
-//                    (a /11 so two million mobiles fit in one home
-//                    prefix; 10.200.0.0 lies outside it)
-//   10.200.0.0/24    correspondent LAN on the last router
-//   172.16.0.0/16    backbone point-to-point /30s, one per link
-//   192.168.j.0/24   wireless cell of foreign site j; FA is .1
+// Address plan:
+//   10.0.0.0/11   home LAN on router 0; HA is 10.1.0.1, mobiles from
+//                 10.1.1.0 (a /11 so two million mobiles fit in one home
+//                 prefix)
+//   128.0.0.0/2   router blocks. Every router but router 0 owns one
+//                 aligned block that holds every prefix it originates: the
+//                 /30 of each backbone link to a lower-numbered router (a
+//                 tree router's uplink; a grid router's links from the left
+//                 and from above), the /24 of its cell if it hosts a foreign
+//                 agent (FA at .1), and on the last router the
+//                 correspondent LAN /24 (hosts from .10). Blocks nest: a
+//                 tree router's subtree block holds its own block and its
+//                 children's subtree blocks; a grid router's block lies in
+//                 its row's block. Each block is the smallest power of two
+//                 that holds its parts packed largest first, which keeps
+//                 every part aligned. Nesting costs room: a subtree block
+//                 can be four times its children's, so the /2 holds trees
+//                 of up to about 30,000 routers and grids of far more.
+// Topology::install_static_routes then gives a router one route per
+// child block, per ancestor's block and per ancestor's other child on a
+// tree, and one per other row and per other router in its row on a
+// grid, instead of one per router-interface prefix. A grid route to
+// another row runs down the source's column first. The one prefix the
+// grid does not aggregate, the home LAN, is reached along the source's
+// row first instead (ties go to the higher-numbered neighbor), which is
+// the reverse of router 0's routes out. The correspondents' datagrams to
+// the home network and the home agent's location updates back to them
+// thus cross the same routers, whose cache agents learn from the updates
+// they forward (§4.3).
 constexpr int kHomePrefixLength = 11;                 // 10.0.0.0/11
 constexpr std::uint32_t kHomeLanBase = 0x0A010000;    // 10.1.0.0
 constexpr std::uint32_t kMobileBase = 0x0A010100;     // 10.1.1.0
-constexpr std::uint32_t kCorrLanBase = 0x0AC80000;    // 10.200.0.0
-constexpr std::uint32_t kBackboneBase = 0xAC100000;   // 172.16.0.0
-constexpr std::uint32_t kCellBase = 0xC0A80000;       // 192.168.0.0
+constexpr std::uint32_t kPlanBase = 0x80000000;       // 128.0.0.0
+constexpr std::uint64_t kPlanSize = 0x40000000;       // a /2
+constexpr std::uint64_t kLanSize = 256;               // a cell or the corr LAN
+constexpr std::uint64_t kCircuitSize = 4;             // a backbone /30
+
+/// `sizes` (powers of two, zero for nothing) packed largest first, ties in
+/// order: where each part starts, and the smallest block holding them.
+struct Packing {
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t size = 0;
+};
+
+Packing pack(const std::vector<std::uint64_t>& sizes) {
+  std::vector<std::size_t> order(sizes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sizes[a] > sizes[b];
+                   });
+  Packing packing;
+  packing.offsets.resize(sizes.size());
+  std::uint64_t end = 0;
+  for (std::size_t i : order) {
+    packing.offsets[i] = end;
+    end += sizes[i];
+  }
+  packing.size = end == 0 ? 0 : std::bit_ceil(end);
+  return packing;
+}
+
+net::Prefix block_at(std::uint64_t base, std::uint64_t size) {
+  return {net::IpAddress(static_cast<std::uint32_t>(base)),
+          32 - std::countr_zero(size)};
+}
+
+/// Every address ScaleWorld's backbone uses, and the blocks it declares.
+struct AddressPlan {
+  std::vector<std::pair<int, int>> circuits;   // (a, b), a < b, build order
+  std::vector<std::uint32_t> circuit_subnets;  // per circuit
+  std::vector<int> fa_routers;                 // per foreign site
+  std::vector<std::uint32_t> cell_subnets;     // per foreign site
+  std::uint32_t corr_subnet = 0;
+  /// Every router's own block (member: that router) and every enclosing
+  /// block of two or more non-empty parts (members: its routers).
+  std::vector<std::pair<net::Prefix, std::vector<int>>> blocks;
+};
+
+AddressPlan plan_addresses(const ScaleWorldOptions& o) {
+  const bool grid = o.backbone == ScaleWorldOptions::Backbone::kGrid;
+  const int routers = o.routers;
+  const int width =
+      static_cast<int>(std::ceil(std::sqrt(static_cast<double>(routers))));
+  AddressPlan plan;
+  for (int r = 0; r < routers; ++r) {
+    if (!grid) {
+      if (r > 0) plan.circuits.emplace_back((r - 1) / 2, r);
+    } else {
+      if ((r + 1) % width != 0 && r + 1 < routers) {
+        plan.circuits.emplace_back(r, r + 1);
+      }
+      if (r + width < routers) plan.circuits.emplace_back(r, r + width);
+    }
+  }
+  for (int j = 0; j < o.foreign_agents; ++j) {
+    plan.fa_routers.push_back(1 + (j * (routers - 1)) / o.foreign_agents);
+  }
+  const auto n = static_cast<std::size_t>(routers);
+  const auto sites = static_cast<std::size_t>(o.foreign_agents);
+
+  // What each router originates, in a fixed order: its cell, the
+  // correspondent LAN, its circuits; each part with where its subnet goes.
+  struct Part {
+    std::uint64_t size;
+    std::uint32_t* subnet;
+  };
+  std::vector<std::vector<Part>> parts(n);
+  plan.cell_subnets.resize(sites);
+  plan.circuit_subnets.resize(plan.circuits.size());
+  for (std::size_t j = 0; j < sites; ++j) {
+    parts[static_cast<std::size_t>(plan.fa_routers[j])].push_back(
+        {kLanSize, &plan.cell_subnets[j]});
+  }
+  parts[n - 1].push_back({kLanSize, &plan.corr_subnet});
+  for (std::size_t k = 0; k < plan.circuits.size(); ++k) {
+    parts[static_cast<std::size_t>(plan.circuits[k].second)].push_back(
+        {kCircuitSize, &plan.circuit_subnets[k]});
+  }
+  auto part_sizes = [&parts](std::size_t r) {
+    std::vector<std::uint64_t> sizes;
+    for (const Part& part : parts[r]) sizes.push_back(part.size);
+    return sizes;
+  };
+
+  // The block hierarchy, children before parents: ids below n are the
+  // routers' own blocks, ids from n up the enclosing blocks. A tree
+  // router's subtree block packs its own block and its children's
+  // subtree blocks; a grid row's block packs its routers' blocks, and the
+  // top block packs the rows.
+  std::vector<std::vector<std::size_t>> kids;  // per enclosing block
+  if (grid) {
+    std::vector<std::size_t> rows;
+    const auto row_width = static_cast<std::size_t>(width);
+    for (std::size_t first = 0; first < n; first += row_width) {
+      std::vector<std::size_t> row(std::min(row_width, n - first));
+      std::iota(row.begin(), row.end(), first);
+      rows.push_back(n + kids.size());
+      kids.push_back(std::move(row));
+    }
+    kids.push_back(std::move(rows));
+  } else {
+    std::vector<std::size_t> subtree(n);
+    for (std::size_t r = n; r-- > 0;) {
+      std::vector<std::size_t> block{r};
+      for (std::size_t c : {2 * r + 1, 2 * r + 2}) {
+        if (c < n) block.push_back(subtree[c]);
+      }
+      subtree[r] = n + kids.size();
+      kids.push_back(std::move(block));
+    }
+  }
+  const std::size_t top = n + kids.size() - 1;
+  std::vector<std::uint64_t> size(top + 1);
+  std::vector<std::uint64_t> base(top + 1);
+  std::vector<std::vector<int>> members(top + 1);
+  auto kid_sizes = [&](std::size_t e) {
+    std::vector<std::uint64_t> sizes;
+    for (std::size_t k : kids[e]) sizes.push_back(size[k]);
+    return sizes;
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    size[r] = pack(part_sizes(r)).size;
+    members[r] = {static_cast<int>(r)};
+  }
+  for (std::size_t e = 0; e < kids.size(); ++e) {
+    size[n + e] = pack(kid_sizes(e)).size;
+    for (std::size_t k : kids[e]) {
+      members[n + e].insert(members[n + e].end(), members[k].begin(),
+                            members[k].end());
+    }
+  }
+  if (size[top] > kPlanSize) {
+    throw std::invalid_argument(
+        "ScaleWorld: address plan outgrows 128.0.0.0/2");
+  }
+
+  // Place the blocks top-down. An enclosing block with one non-empty part
+  // has that part's prefix, so only the others are declared.
+  base[top] = kPlanBase;
+  for (std::size_t e = kids.size(); e-- > 0;) {
+    const std::vector<std::uint64_t> sizes = kid_sizes(e);
+    const Packing packing = pack(sizes);
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      base[kids[e][i]] = base[n + e] + packing.offsets[i];
+    }
+    if (std::count_if(sizes.begin(), sizes.end(),
+                      [](std::uint64_t s) { return s > 0; }) >= 2) {
+      plan.blocks.emplace_back(block_at(base[n + e], size[n + e]),
+                               std::move(members[n + e]));
+    }
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    if (size[r] == 0) continue;  // router 0 originates only the home LAN
+    plan.blocks.emplace_back(block_at(base[r], size[r]),
+                             std::move(members[r]));
+    const Packing packing = pack(part_sizes(r));
+    for (std::size_t i = 0; i < parts[r].size(); ++i) {
+      *parts[r][i].subnet =
+          static_cast<std::uint32_t>(base[r] + packing.offsets[i]);
+    }
+  }
+  return plan;
+}
 
 ScaleWorldOptions validate(ScaleWorldOptions o) {
   if (o.routers < 2) throw std::invalid_argument("ScaleWorld: routers < 2");
@@ -96,6 +289,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
                : static_cast<std::uint32_t>((g * options.shards) / regions);
   };
 
+  const AddressPlan plan = plan_addresses(options);
   routers.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     routers.push_back(&topo.add_router("R" + std::to_string(r),
@@ -105,28 +299,23 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   Roles roles;
 
   // Backbone: point-to-point /30 circuits between adjacent routers.
-  int link_no = 0;
-  auto connect_pair = [&](int a, int b) {
-    auto& link = topo.add_link("bb" + std::to_string(link_no),
-                               options.link_latency);
-    const std::uint32_t subnet =
-        kBackboneBase + static_cast<std::uint32_t>(link_no) * 4;
+  for (std::size_t k = 0; k < plan.circuits.size(); ++k) {
+    const auto [a, b] = plan.circuits[k];
+    auto& link = topo.add_link("bb" + std::to_string(k), options.link_latency);
+    const std::uint32_t subnet = plan.circuit_subnets[k];
     topo.connect(*routers[static_cast<std::size_t>(a)], link,
                  net::IpAddress(subnet + 1), 30);
     topo.connect(*routers[static_cast<std::size_t>(b)], link,
                  net::IpAddress(subnet + 2), 30);
     backbone_links.push_back(&link);
-    ++link_no;
-  };
-  if (options.backbone == ScaleWorldOptions::Backbone::kGrid) {
-    const int width =
-        static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n))));
-    for (int r = 0; r < n; ++r) {
-      if ((r + 1) % width != 0 && r + 1 < n) connect_pair(r, r + 1);
-      if (r + width < n) connect_pair(r, r + width);
+  }
+  for (const auto& [block, owners] : plan.blocks) {
+    std::vector<const node::Node*> members;
+    members.reserve(owners.size());
+    for (int r : owners) {
+      members.push_back(routers[static_cast<std::size_t>(r)]);
     }
-  } else {
-    for (int r = 1; r < n; ++r) connect_pair((r - 1) / 2, r);
+    topo.add_aggregate(block, std::move(members));
   }
 
   // Home site on router 0.
@@ -138,14 +327,15 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
 
   // Correspondent site on the last router.
   auto& corr_lan = topo.add_link("corrLan", options.link_latency);
-  topo.connect(*routers.back(), corr_lan, net::IpAddress(kCorrLanBase + 1),
-               24);
+  topo.connect(*routers.back(), corr_lan,
+               net::IpAddress(plan.corr_subnet + 1), 24);
   corr_shard_ = shard_of_region(region_of_router(n - 1));
   for (int c = 0; c < options.correspondents; ++c) {
     auto& host = topo.add_host("C" + std::to_string(c), corr_shard_);
     topo.connect(
         host, corr_lan,
-        net::IpAddress(kCorrLanBase + 10 + static_cast<std::uint32_t>(c)), 24);
+        net::IpAddress(plan.corr_subnet + 10 + static_cast<std::uint32_t>(c)),
+        24);
     correspondents.push_back(&host);
     // §2: any node talking to mobile hosts "should generally also
     // function as a cache agent".
@@ -156,12 +346,12 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   // the home site and never hosts a foreign agent), each with a cell.
   region_cells_.resize(static_cast<std::size_t>(regions));
   for (int j = 0; j < options.foreign_agents; ++j) {
-    const int idx = 1 + (j * (n - 1)) / options.foreign_agents;
+    const int idx = plan.fa_routers[static_cast<std::size_t>(j)];
     node::Router& r = *routers[static_cast<std::size_t>(idx)];
     auto& cell = topo.add_link("cell" + std::to_string(j),
                                options.link_latency);
-    const net::IpAddress agent(kCellBase +
-                               static_cast<std::uint32_t>(j) * 256 + 1);
+    const net::IpAddress agent(
+        plan.cell_subnets[static_cast<std::size_t>(j)] + 1);
     roles.foreign.push_back({&r, &topo.connect(r, cell, agent, 24)});
     fa_routers.push_back(&r);
     cells.push_back(&cell);
@@ -511,8 +701,7 @@ void ScaleWorld::note_fault(const faults::FaultEvent& event) {
   if (event.kind == FaultKind::kNodeCrash ||
       (event.kind == FaultKind::kLinkFail && event.target < cells.size())) {
     const std::size_t site = event.target;
-    const net::IpAddress agent(
-        kCellBase + static_cast<std::uint32_t>(site) * 256 + 1);
+    const net::IpAddress agent = fas[site]->agent_address();
     // FA crashes already execute on the site's shard; cell link faults
     // execute on the plane's shard (shard 0), so hop when they differ.
     if (options.shards == 0 || cell_shard_[site] == topo.sim().shard_id()) {

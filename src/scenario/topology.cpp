@@ -109,9 +109,7 @@ Topology::IfaceOwnerMap Topology::iface_owners() const {
 routing::Graph Topology::build_graph() const {
   const IfaceOwnerMap owners = iface_owners();
   routing::Graph graph(nodes_.size());
-  // Nodes sharing a link are adjacent; cost 1 per link crossing. The
-  // edge list is built in (link, member-pair) order — identical to the
-  // pre-map scan, so Dijkstra tie-breaks and digests are unchanged.
+  // Nodes sharing a link are adjacent; cost 1 per link crossing.
   for (const auto& link : links_) {
     const auto& members = link->members();
     for (std::size_t a = 0; a < members.size(); ++a) {
@@ -129,99 +127,171 @@ routing::Graph Topology::build_graph() const {
   return graph;
 }
 
+void Topology::add_aggregate(net::Prefix prefix,
+                             std::vector<const node::Node*> members) {
+  if (!aggregates_.emplace(prefix, std::move(members)).second) {
+    throw std::invalid_argument("Topology: aggregate " + prefix.to_string() +
+                                " declared twice");
+  }
+}
+
 void Topology::install_static_routes() {
   const IfaceOwnerMap owners = iface_owners();
-  const routing::Graph graph = build_graph();
+  const auto n_nodes = nodes_.size();
 
-  // Collect every prefix in the internetwork with a representative node.
-  struct PrefixSite {
-    net::Prefix prefix;
-    int node_index;
+  // Routers, and the hops between them in link order: a hop leaves on
+  // `out` toward the neighbor's address `via` on the shared link.
+  struct Hop {
+    int to;
+    net::Interface* out;
+    net::IpAddress via;
   };
-  std::vector<PrefixSite> sites;
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    // Only routers originate subnet reachability — a host whose address
-    // does not match its attachment point (a visiting mobile host) must
-    // stay invisible to routing; making it reachable is the mobility
-    // protocols' job, not the routing fabric's.
-    if (!nodes_[n]->forwarding()) continue;
-    for (const auto& iface : nodes_[n]->interfaces()) {
-      sites.push_back({iface->prefix(), static_cast<int>(n)});
+  std::vector<int> routers;
+  std::vector<bool> is_router(n_nodes);
+  std::vector<std::vector<Hop>> hops(n_nodes);
+  // mhrp-lint: allow(pointer-keyed) lookup-only node registry
+  std::unordered_map<const node::Node*, int> index;
+  index.reserve(n_nodes);
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    index.emplace(nodes_[n].get(), static_cast<int>(n));
+    is_router[n] = nodes_[n]->forwarding() && !is_mobile_[n];
+    if (is_router[n]) routers.push_back(static_cast<int>(n));
+  }
+  // The router owning `iface`, or -1.
+  auto router_of = [&](const net::Interface* iface) {
+    const auto owner = owners.find(iface);
+    return owner != owners.end() &&
+                   is_router[static_cast<std::size_t>(owner->second)]
+               ? owner->second
+               : -1;
+  };
+  for (const auto& link : links_) {
+    const auto& members = link->members();
+    for (net::Interface* a : members) {
+      const int from = router_of(a);
+      if (from < 0) continue;
+      for (net::Interface* b : members) {
+        const int to = router_of(b);
+        if (to < 0 || to == from) continue;
+        hops[static_cast<std::size_t>(from)].push_back({to, a, b->ip()});
+      }
     }
   }
-  // A router ends up with one route per distinct site prefix it reaches,
-  // so each table is sized once rather than grown by doubling.
-  std::vector<net::Prefix> prefixes;
-  prefixes.reserve(sites.size());
-  for (const PrefixSite& site : sites) prefixes.push_back(site.prefix);
-  std::sort(prefixes.begin(), prefixes.end());
-  const auto distinct_prefixes = static_cast<std::size_t>(
-      std::unique(prefixes.begin(), prefixes.end()) - prefixes.begin());
 
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+  // Plain hosts: a default route via a forwarding neighbor on their LAN,
+  // the first forwarding-owned member in link order.
+  for (std::size_t n = 0; n < n_nodes; ++n) {
     node::Node& node = *nodes_[n];
-    if (is_mobile_[n]) continue;  // mobile hosts route via registration
+    if (is_mobile_[n] || node.forwarding()) continue;
+    for (const auto& iface : node.interfaces()) {
+      if (!iface->attached()) continue;
+      const auto& members = iface->link()->members();
+      const auto gateway = std::find_if(
+          members.begin(), members.end(), [&](net::Interface* member) {
+            return member != iface.get() && router_of(member) >= 0;
+          });
+      if (gateway == members.end()) continue;
+      node.routing_table().install({net::Prefix(net::kUnspecified, 0),
+                                    (*gateway)->ip(), iface.get(), 1,
+                                    routing::RouteKind::kStatic});
+      break;
+    }
+  }
 
-    if (!node.forwarding()) {
-      // Plain host: default route via a forwarding neighbor on its LAN —
-      // the first forwarding-owned member in link order, exactly the
-      // neighbor the old full-node scan selected.
-      for (const auto& iface : node.interfaces()) {
-        if (!iface->attached()) continue;
-        for (net::Interface* member : iface->link()->members()) {
-          if (member == iface.get()) continue;
-          const auto owner = owners.find(member);
-          if (owner == owners.end()) continue;
-          if (!nodes_[static_cast<std::size_t>(owner->second)]->forwarding()) {
-            continue;
-          }
-          node.routing_table().install(
-              {net::Prefix(net::kUnspecified, 0), member->ip(),
-               iface.get(), 1, routing::RouteKind::kStatic});
-          goto next_node;
+  // One breadth-first search per destination, from its members over the
+  // routers in `scope`. Each router reached gets one route, toward the
+  // highest-indexed neighbor one hop closer to a member.
+  std::vector<int> distance(n_nodes, -1);
+  std::vector<std::uint32_t> scope_mark(n_nodes, 0);
+  std::uint32_t stamp = 0;
+  std::vector<int> queue;
+  auto route_toward = [&](const net::Prefix& prefix,
+                          const std::vector<int>& members,
+                          const std::vector<int>& scope) {
+    ++stamp;
+    for (int r : scope) scope_mark[static_cast<std::size_t>(r)] = stamp;
+    queue.clear();
+    for (int m : members) {
+      if (distance[static_cast<std::size_t>(m)] < 0) {
+        distance[static_cast<std::size_t>(m)] = 0;
+        queue.push_back(m);
+      }
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const int u = queue[head];
+      for (const Hop& hop : hops[static_cast<std::size_t>(u)]) {
+        const auto v = static_cast<std::size_t>(hop.to);
+        if (scope_mark[v] != stamp || distance[v] >= 0) continue;
+        distance[v] = distance[static_cast<std::size_t>(u)] + 1;
+        queue.push_back(hop.to);
+      }
+    }
+    for (const int u : queue) {
+      const auto ui = static_cast<std::size_t>(u);
+      const int d = distance[ui];
+      const auto& ifaces = nodes_[ui]->interfaces();
+      // Members need no route, and a connected route for the same prefix
+      // would shadow this one.
+      if (d == 0 ||
+          std::any_of(ifaces.begin(), ifaces.end(), [&](const auto& iface) {
+            return iface->prefix() == prefix;
+          })) {
+        continue;
+      }
+      const Hop* next = nullptr;
+      for (const Hop& hop : hops[ui]) {
+        if (distance[static_cast<std::size_t>(hop.to)] == d - 1 &&
+            (next == nullptr || hop.to > next->to)) {
+          next = &hop;
         }
       }
-    next_node:
-      continue;
+      nodes_[ui]->routing_table().install(
+          {prefix, next->via, next->out, d, routing::RouteKind::kStatic});
     }
+    for (const int u : queue) distance[static_cast<std::size_t>(u)] = -1;
+  };
 
-    // Router: full shortest-path table.
-    node.routing_table().reserve(distinct_prefixes);
-    const routing::ShortestPaths sp =
-        routing::shortest_paths(graph, static_cast<int>(n));
-    for (const PrefixSite& site : sites) {
-      if (site.node_index == static_cast<int>(n)) continue;
-      if (!sp.reachable(site.node_index)) continue;
-      // Skip prefixes directly connected to us (connected route wins).
-      bool connected = false;
-      for (const auto& iface : node.interfaces()) {
-        if (iface->prefix() == site.prefix) connected = true;
-      }
-      if (connected) continue;
-
-      const int hop = sp.first_hop[static_cast<std::size_t>(site.node_index)];
-      if (hop < 0) continue;
-      // Find our interface sharing a link with `hop`, and the hop's
-      // address on that link.
-      node::Node& hop_node = *nodes_[static_cast<std::size_t>(hop)];
-      net::Interface* out = nullptr;
-      net::IpAddress via;
-      for (const auto& iface : node.interfaces()) {
-        if (!iface->attached()) continue;
-        for (const auto& hop_iface : hop_node.interfaces()) {
-          if (hop_iface->link() == iface->link()) {
-            out = iface.get();
-            via = hop_iface->ip();
-          }
-        }
-      }
-      if (out == nullptr) continue;
-      node.routing_table().install(
-          {site.prefix, via, out,
-           static_cast<int>(sp.distance[static_cast<std::size_t>(
-               site.node_index)]),
-           routing::RouteKind::kStatic});
+  // The destinations: each declared aggregate, whose routes cover the
+  // routers of its smallest enclosing aggregate, then each
+  // router-interface prefix outside every aggregate, whose routes cover
+  // every router. Only routers originate reachability: a host whose
+  // address does not match its attachment point (a visiting mobile host)
+  // stays invisible to routing; reaching it is the mobility protocols'
+  // job.
+  std::map<net::Prefix, std::vector<int>> declared;
+  for (const auto& [prefix, members] : aggregates_) {
+    std::vector<int>& indices = declared[prefix];
+    for (const node::Node* member : members) {
+      indices.push_back(index.at(member));
     }
+  }
+  // The members of the longest aggregate of at most `longest` bits
+  // holding `prefix`, or nullptr.
+  auto declared_within = [&declared](const net::Prefix& prefix, int longest)
+      -> const std::vector<int>* {
+    for (int length = longest; length >= 0; --length) {
+      const auto it = declared.find(net::Prefix(prefix.address(), length));
+      if (it != declared.end()) return &it->second;
+    }
+    return nullptr;
+  };
+  for (const auto& [prefix, members] : declared) {
+    const std::vector<int>* enclosing =
+        declared_within(prefix, prefix.length() - 1);
+    route_toward(prefix, members, enclosing != nullptr ? *enclosing : routers);
+  }
+  std::map<net::Prefix, std::vector<int>> sites;
+  for (int r : routers) {
+    const node::Node& router = *nodes_[static_cast<std::size_t>(r)];
+    for (const auto& iface : router.interfaces()) {
+      const net::Prefix& prefix = iface->prefix();
+      if (declared_within(prefix, prefix.length()) == nullptr) {
+        sites[prefix].push_back(r);
+      }
+    }
+  }
+  for (const auto& [prefix, members] : sites) {
+    route_toward(prefix, members, routers);
   }
 }
 
@@ -236,11 +306,18 @@ net::Link* Topology::find_link(const std::string& name) {
 }
 
 int Topology::hop_distance(const node::Node& a, const node::Node& b) {
-  const routing::Graph graph = build_graph();
-  const auto sp = routing::shortest_paths(graph, index_of(a));
-  const int target = index_of(b);
-  if (!sp.reachable(target)) return -1;
-  return static_cast<int>(sp.distance[static_cast<std::size_t>(target)]);
+  return hop_distances(a)[static_cast<std::size_t>(index_of(b))];
+}
+
+std::vector<int> Topology::hop_distances(const node::Node& from) {
+  const auto sp = routing::shortest_paths(build_graph(), index_of(from));
+  std::vector<int> hops(nodes_.size(), -1);
+  for (std::size_t v = 0; v < hops.size(); ++v) {
+    if (sp.reachable(static_cast<int>(v))) {
+      hops[v] = static_cast<int>(sp.distance[v]);
+    }
+  }
+  return hops;
 }
 
 std::vector<const net::Link*> Topology::cross_shard_links() const {

@@ -6,7 +6,11 @@
 //
 // Hosts do not get full tables: like real end systems they get a default
 // route via a router on their LAN (mobile hosts re-point it as they
-// move). Routers get complete shortest-path tables.
+// move). Routers get one shortest-path route per destination, where a
+// destination is an aggregate the world declared (add_aggregate) or else
+// one router-interface prefix. A world whose address plan aggregates
+// keeps every router's table small as the internetwork grows (paper §3,
+// §7); one that declares nothing gets a route per prefix.
 #pragma once
 
 #include <cstdint>
@@ -100,10 +104,23 @@ class Topology {
 
   // ---- Routing ----
 
-  /// Compute shortest paths over the current link graph and install
-  /// static routes: full tables on forwarding nodes, a default route via
-  /// a LAN router on non-forwarding nodes. Mobile hosts are skipped
-  /// entirely (their default route follows their registration).
+  /// Declare `prefix` an aggregate whose addresses `members` (routers)
+  /// originate. Declared aggregates must nest: of two that overlap, the
+  /// shorter prefix holds every member of the longer one. Throws
+  /// std::invalid_argument when `prefix` is already declared.
+  void add_aggregate(net::Prefix prefix,
+                     std::vector<const node::Node*> members);
+
+  /// Install static routes over the current link graph: a default route
+  /// via a LAN router on non-forwarding nodes, and on routers one route
+  /// per destination. The destinations are the declared aggregates plus
+  /// every router-interface prefix outside all of them. A destination's
+  /// routes cover the routers of its smallest enclosing aggregate (every
+  /// router when none encloses it); each of those routers but the
+  /// destination's own members gets one route toward the nearest member,
+  /// over unit link costs, ties broken toward the higher node index
+  /// (ScaleWorld's address plan explains why). Mobile hosts are
+  /// skipped entirely (their default route follows their registration).
   void install_static_routes();
 
   // ---- Lookup ----
@@ -121,6 +138,8 @@ class Topology {
   /// current graph; -1 when disconnected. Benchmarks use this to report
   /// path stretch against the optimum.
   [[nodiscard]] int hop_distance(const node::Node& a, const node::Node& b);
+  /// hop_distance from `from` to every node, indexed like nodes().
+  [[nodiscard]] std::vector<int> hop_distances(const node::Node& from);
 
   // ---- Observation ----
 
@@ -154,6 +173,7 @@ class Topology {
   std::map<std::string, node::Node*> by_name_;
   std::map<std::string, net::Link*> link_by_name_;
   std::vector<bool> is_mobile_;  // parallel to nodes_
+  std::map<net::Prefix, std::vector<const node::Node*>> aggregates_;
 };
 
 }  // namespace mhrp::scenario

@@ -173,15 +173,15 @@ TEST(DigestPins, EveryInstallBranchReplaysItsPinnedDigest) {
          o.protocol.forwarding_pointers = false;
          return mhrp_tour(o);
        }},
-      {"scaleworld grid 200", 0xf29e21dau,
+      {"scaleworld grid 200", 0xb5d75148u,
        [] { return scale_run(scale_options(7, 200), sim::seconds(10)); }},
-      {"scaleworld grid 200 x2 shards", 0x89359231u,
+      {"scaleworld grid 200 x2 shards", 0xb464b056u,
        [] {
          ScaleWorldOptions o = scale_options(7, 200);
          o.shards = 2;
          return scale_run(o, sim::seconds(10));
        }},
-      {"scaleworld grid 200 x4 shards", 0x9954643cu,
+      {"scaleworld grid 200 x4 shards", 0x3094b3eau,
        [] {
          ScaleWorldOptions o = scale_options(7, 200);
          o.shards = 4;

@@ -120,24 +120,6 @@ TEST(RoutingTable, FindKindSeesShadowedTiers) {
   EXPECT_EQ(t.find_kind(prefix, RouteKind::kStatic), nullptr);
 }
 
-TEST(RoutingTable, ReserveSizesTheTableOnce) {
-  RoutingTable t;
-  const auto first = net::Prefix::parse("10.0.0.0/30");
-  t.install({first, ip("1.1.1.1"), nullptr, 1, RouteKind::kStatic});
-  t.reserve(100);
-  const Route* route = t.find(first);
-  for (std::uint32_t i = 1; i < 100; ++i) {
-    t.install({net::Prefix(net::IpAddress(0x0A000000u + 4 * i), 30),
-               ip("1.1.1.1"), nullptr, 1, RouteKind::kStatic});
-  }
-  // Installing up to the reserved count moved nothing.
-  EXPECT_EQ(t.find(first), route);
-  EXPECT_EQ(t.size(), 100u);
-  EXPECT_EQ(t.lookup(ip("10.0.0.2")), route);
-  EXPECT_EQ(t.lookup(ip("10.0.1.141"))->prefix,
-            net::Prefix::parse("10.0.1.140/30"));
-}
-
 // ---- Reference model ----
 
 /// DESIGN §14.2's tier rules over a plain vector holding every route,
@@ -383,9 +365,8 @@ TEST(Dijkstra, EqualCostTieBreakIsInsertionOrderInvariant) {
   // A 2x3 grid where every inner vertex is reachable over several
   // equal-cost paths. The tie-break (lower predecessor id wins) must pin
   // the exact same next hops whether the adjacency lists are built
-  // forwards or backwards — install_static_routes feeds first_hop
-  // straight into next-hop addresses, so any drift here would change
-  // forwarding bytes between two identically-seeded worlds.
+  // forwards or backwards, so a next hop read from first_hop never
+  // depends on the order in which edges were added.
   //
   //   0 - 1 - 2
   //   |   |   |

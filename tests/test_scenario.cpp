@@ -4,8 +4,14 @@
 // trusts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/udp.hpp"
 #include "scenario/metrics.hpp"
@@ -85,6 +91,39 @@ TEST(TopologyRouting, HostPrefixesDoNotLeakIntoRouting) {
   topo.connect(visitor, lan2, ip("172.16.0.9"), 24);  // off-subnet address
   topo.install_static_routes();
   EXPECT_EQ(r.routing_table().lookup(ip("172.16.0.9")), nullptr);
+}
+
+TEST(TopologyRouting, SharedPrefixRoutesTowardTheNearestRouter) {
+  // Regression: routes were installed per (router, prefix) in node order,
+  // so a prefix configured on several routers was routed toward the last
+  // one listed. Here the LAN is one hop from R0 through B and two through
+  // A and C.
+  Topology topo;
+  auto& r0a = topo.add_link("r0a", sim::millis(1));
+  auto& r0b = topo.add_link("r0b", sim::millis(1));
+  auto& ac = topo.add_link("ac", sim::millis(1));
+  auto& lan = topo.add_link("lan", sim::millis(1));
+  auto& r0 = topo.add_router("R0");
+  auto& a = topo.add_router("A");
+  auto& b = topo.add_router("B");
+  auto& c = topo.add_router("C");
+  topo.connect(r0, r0a, ip("10.0.1.1"), 24);
+  topo.connect(a, r0a, ip("10.0.1.2"), 24);
+  topo.connect(r0, r0b, ip("10.0.2.1"), 24);
+  topo.connect(b, r0b, ip("10.0.2.2"), 24);
+  topo.connect(a, ac, ip("10.0.3.1"), 24);
+  topo.connect(c, ac, ip("10.0.3.2"), 24);
+  topo.connect(b, lan, ip("10.9.0.1"), 24);
+  topo.connect(c, lan, ip("10.9.0.2"), 24);
+  topo.install_static_routes();
+
+  const routing::Route* via_b = r0.routing_table().lookup(ip("10.9.0.10"));
+  ASSERT_NE(via_b, nullptr);
+  EXPECT_EQ(via_b->next_hop, ip("10.0.2.2"));
+  EXPECT_EQ(via_b->metric, 1);
+  const routing::Route* via_c = a.routing_table().lookup(ip("10.9.0.10"));
+  ASSERT_NE(via_c, nullptr);
+  EXPECT_EQ(via_c->next_hop, ip("10.0.3.2"));
 }
 
 TEST(Links, LatencyIsApplied) {
@@ -498,6 +537,172 @@ TEST(ScaleWorldHarness, DeliveredCountsOnlyCbrDatagrams) {
   EXPECT_GT(s.packets_delivered, 0u);
   EXPECT_LE(s.packets_delivered, s.cbr_sent);
   EXPECT_LE(s.icmp_errors, s.ttl_drops + s.arp_timeouts + s.no_route_drops);
+}
+
+/// Where one RouteWalker::walk ended, and after how many hops.
+struct RouteWalk {
+  node::Node* end = nullptr;
+  int hops = 0;
+  std::string failure;  // empty when the walk arrived
+};
+
+/// Follows static routes hop by hop from a router toward an address. A
+/// walk ends at the node owning the address, or at the router delivering
+/// to it on a connected LAN; it fails on a missing route, a next hop
+/// nobody owns, or a router visited twice.
+class RouteWalker {
+ public:
+  explicit RouteWalker(const Topology& topo) {
+    for (const auto& node : topo.nodes()) {
+      for (const auto& iface : node->interfaces()) {
+        owner_.emplace(iface->ip(), node.get());
+      }
+    }
+  }
+
+  [[nodiscard]] RouteWalk walk(node::Node& from, net::IpAddress dst) {
+    RouteWalk walk;
+    ++stamp_;
+    node::Node* at = &from;
+    visited_[at] = stamp_;
+    while (!at->owns_address(dst)) {
+      const routing::Route* route = at->routing_table().lookup(dst);
+      if (route == nullptr) {
+        walk.failure = "no route at " + at->name();
+        return walk;
+      }
+      const bool connected = route->next_hop.is_unspecified();
+      const auto next = owner_.find(connected ? dst : route->next_hop);
+      if (next == owner_.end()) {
+        walk.failure = "nobody owns the next hop from " + at->name();
+        return walk;
+      }
+      if (connected && !next->second->forwarding()) break;  // a LAN host
+      if (std::exchange(visited_[next->second], stamp_) == stamp_) {
+        walk.failure = "loop back to " + next->second->name();
+        return walk;
+      }
+      at = next->second;
+      ++walk.hops;
+    }
+    walk.end = at;
+    return walk;
+  }
+
+ private:
+  std::unordered_map<net::IpAddress, node::Node*> owner_;
+  std::unordered_map<const node::Node*, std::uint64_t> visited_;  // stamps
+  std::uint64_t stamp_ = 0;
+};
+
+scenario::ScaleWorldOptions routing_world(
+    scenario::ScaleWorldOptions::Backbone backbone, int routers) {
+  scenario::ScaleWorldOptions options;
+  options.backbone = backbone;
+  options.routers = routers;
+  options.foreign_agents = std::min(routers - 1, 16);
+  options.mobile_hosts = 0;
+  options.correspondents = 2;
+  return options;
+}
+
+TEST(ScaleWorldRouting, AggregatedRoutesAreLoopFreeShortestPaths) {
+  // Every router walks to each foreign agent, the home agent, each
+  // correspondent and one address in each router's own block (its side
+  // of a circuit to a lower-numbered router) in exactly the shortest
+  // hop count. Any other router address is reached without a loop. A
+  // 200-router grid is 15 wide with a last row of 5.
+  using Backbone = scenario::ScaleWorldOptions::Backbone;
+  const std::pair<Backbone, int> worlds[] = {
+      {Backbone::kTree, 2},   {Backbone::kTree, 3},   {Backbone::kTree, 63},
+      {Backbone::kTree, 200}, {Backbone::kGrid, 2},   {Backbone::kGrid, 3},
+      {Backbone::kGrid, 5},   {Backbone::kGrid, 16},  {Backbone::kGrid, 200},
+      {Backbone::kGrid, 576}};
+  for (const auto& [backbone, n] : worlds) {
+    scenario::ScaleWorld w(routing_world(backbone, n));
+    const std::string world =
+        std::string(backbone == Backbone::kTree ? "tree " : "grid ") +
+        std::to_string(n);
+    RouteWalker walker(w.topo);
+    std::unordered_map<net::IpAddress, std::size_t> router_of;
+    for (std::size_t r = 0; r < w.routers.size(); ++r) {
+      for (const auto& iface : w.routers[r]->interfaces()) {
+        router_of.emplace(iface->ip(), r);
+      }
+    }
+
+    // (address, the router a walk must end at)
+    std::vector<std::pair<net::IpAddress, const node::Node*>> exact;
+    for (std::size_t j = 0; j < w.fas.size(); ++j) {
+      exact.emplace_back(w.fas[j]->agent_address(), w.fa_routers[j]);
+    }
+    exact.emplace_back(w.ha->agent_address(), w.home_router);
+    for (const node::Host* c : w.correspondents) {
+      exact.emplace_back(c->primary_address(), w.routers.back());
+    }
+    std::vector<std::pair<net::IpAddress, const node::Node*>> others;
+    for (std::size_t r = 0; r < w.routers.size(); ++r) {
+      bool own_picked = false;
+      for (const auto& iface : w.routers[r]->interfaces()) {
+        bool to_lower = false;
+        for (const net::Interface* peer : iface->link()->members()) {
+          const auto it = router_of.find(peer->ip());
+          to_lower |= it != router_of.end() && it->second < r;
+        }
+        if (to_lower && !own_picked) {
+          exact.emplace_back(iface->ip(), w.routers[r]);
+          own_picked = true;
+        } else {
+          others.emplace_back(iface->ip(), w.routers[r]);
+        }
+      }
+    }
+
+    for (const auto& [dst, owner] : exact) {
+      const std::vector<int> distance = w.topo.hop_distances(*owner);
+      for (std::size_t r = 0; r < w.routers.size(); ++r) {
+        const RouteWalk walk = walker.walk(*w.routers[r], dst);
+        ASSERT_TRUE(walk.failure.empty())
+            << world << ": R" << r << " -> " << dst << ": " << walk.failure;
+        ASSERT_EQ(walk.end, owner) << world << ": R" << r << " -> " << dst;
+        ASSERT_EQ(walk.hops, distance[r]) << world << ": R" << r << " -> "
+                                          << dst;
+      }
+    }
+    for (const auto& [dst, owner] : others) {
+      for (std::size_t r = 0; r < w.routers.size(); ++r) {
+        const RouteWalk walk = walker.walk(*w.routers[r], dst);
+        ASSERT_TRUE(walk.failure.empty())
+            << world << ": R" << r << " -> " << dst << ": " << walk.failure;
+        ASSERT_EQ(walk.end, owner) << world << ": R" << r << " -> " << dst;
+      }
+    }
+  }
+}
+
+TEST(ScaleWorldHarness, RoutesPerRouterStayFlat) {
+  // With an aggregating address plan no router's table grows with the
+  // internetwork: O(log N) routes on a tree, O(sqrt N) on a grid.
+  using Backbone = scenario::ScaleWorldOptions::Backbone;
+  const std::pair<Backbone, int> worlds[] = {{Backbone::kTree, 255},
+                                             {Backbone::kTree, 4095},
+                                             {Backbone::kGrid, 16 * 16},
+                                             {Backbone::kGrid, 64 * 64}};
+  for (const auto& [backbone, n] : worlds) {
+    scenario::ScaleWorldOptions options = routing_world(backbone, n);
+    options.mobile_hosts = 4;
+    scenario::ScaleWorld w(options);
+    std::size_t largest = 0;
+    for (node::Router* r : w.routers) {
+      largest = std::max(largest, r->routing_table().size());
+    }
+    const auto bound =
+        backbone == Backbone::kTree
+            ? 2 * static_cast<std::size_t>(std::ceil(std::log2(n))) + 16
+            : 2 * static_cast<std::size_t>(std::ceil(std::sqrt(n))) + 16;
+    EXPECT_LE(largest, bound)
+        << (backbone == Backbone::kTree ? "tree " : "grid ") << n;
+  }
 }
 
 TEST(MhrpWorldHarness, HelpersReportConsistentState) {
