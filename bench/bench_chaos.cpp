@@ -14,7 +14,9 @@
 //   * packets lost per outage (expected CBR minus delivered while the
 //     outage was open) and binding staleness at the home agent,
 //   * fault-plane counters (outages injected/healed, crashes/reboots,
-//     impairment bursts) so a run is auditable against its schedule.
+//     impairment bursts) so a run is auditable against its schedule,
+//   * on DV points, reconvergence times and suspected counting-to-
+//     infinity episodes (loops of three or more routers).
 //
 // A no-fault baseline point runs first with the same topology and
 // workload as the BENCH_scale.json sweep's matching size; its events/sec
@@ -58,6 +60,7 @@ struct ChaosResult {
   scenario::PercentileSummary staleness{};
   scenario::PercentileSummary handoff{};
   scenario::PercentileSummary convergence{};  // DV points only
+  std::uint64_t counting_to_infinity = 0;     // DV points only
 };
 
 ChaosResult run_point(bench::Harness& h, ChaosPoint point, double sim_secs) {
@@ -94,6 +97,9 @@ ChaosResult run_point(bench::Harness& h, ChaosPoint point, double sim_secs) {
   r.staleness = scenario::summarize(world.binding_staleness());
   r.handoff = scenario::summarize(world.handoff_latencies());
   r.convergence = scenario::summarize(world.convergence_times());
+  for (const auto& process : world.dv_processes) {
+    r.counting_to_infinity += process->stats().counting_to_infinity;
+  }
   if (point.fault_rate == 0) {
     h.check_slice("baseline N=" + std::to_string(point.routers) +
                       " M=" + std::to_string(point.mobiles),
@@ -155,7 +161,11 @@ int main(int argc, char** argv) {
       print_summary_row("loss pkts", r.outage_loss);
       print_summary_row("staleness s", r.staleness);
       print_summary_row("handoff s", r.handoff);
-      if (r.point.dv) print_summary_row("converge s", r.convergence);
+      if (r.point.dv) {
+        print_summary_row("converge s", r.convergence);
+        std::printf("    %-12s | %llu\n", "count-to-inf",
+                    static_cast<unsigned long long>(r.counting_to_infinity));
+      }
     }
   }
 
@@ -189,6 +199,7 @@ int main(int argc, char** argv) {
       h.summary("binding_staleness_s", r.staleness);
       h.summary("handoff_s", r.handoff);
       h.summary("convergence_s", r.convergence);
+      if (r.point.dv) h.field("counting_to_infinity", r.counting_to_infinity);
       h.counts("counts", r.stats);
     });
   });

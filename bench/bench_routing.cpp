@@ -18,7 +18,9 @@
 //     rerouting dividend (the static world blackholes FA0's cell);
 //   * DV protocol overhead in steady state: update messages sent per
 //     router-second and total route changes (wall_seconds sits next to
-//     BENCH_scale.json's points for the cost of a process per router).
+//     BENCH_scale.json's points for the cost of a process per router);
+//   * suspected counting-to-infinity episodes (DvStats): poisoned reverse
+//     stops only two-router loops, so larger loops are measured here.
 //
 // The bench exits 1 unless both twins' warm-ups pass bench/harness.hpp's
 // slice rules (the outages record the same counts), convergence epochs
@@ -54,6 +56,7 @@ struct RoutingResult {
   std::uint64_t dv_updates_received = 0;
   std::uint64_t dv_route_changes = 0;
   std::uint64_t dv_routes_withdrawn = 0;
+  std::uint64_t dv_counting_to_infinity = 0;  // suspected episodes
   double updates_per_router_s = 0;
   std::vector<double> convergence_s;  // one per fault epoch
   Drive dv;
@@ -111,6 +114,7 @@ RoutingResult run_point(bench::Harness& h, int routers, double steady_secs) {
     r.dv_updates_received += process->stats().updates_received;
     r.dv_route_changes += process->stats().route_changes;
     r.dv_routes_withdrawn += process->stats().routes_withdrawn;
+    r.dv_counting_to_infinity += process->stats().counting_to_infinity;
   }
   r.updates_per_router_s = double(r.dv_updates_sent) /
                            double(routers) / r.sim_seconds;
@@ -144,9 +148,11 @@ int main(int argc, char** argv) {
     results.push_back(r);
     std::printf(
         "\n  N=%-4d | %.2f updates/router/s | %llu route changes | "
+        "%llu counting to infinity | "
         "delivered during outage dv=%llu static=%llu\n",
         r.routers, r.updates_per_router_s,
         static_cast<unsigned long long>(r.dv_route_changes),
+        static_cast<unsigned long long>(r.dv_counting_to_infinity),
         static_cast<unsigned long long>(r.dv.outage.packets_delivered),
         static_cast<unsigned long long>(r.st.outage.packets_delivered));
     std::printf("    reconverge:");
@@ -171,6 +177,7 @@ int main(int argc, char** argv) {
       h.field("dv_updates_received", r.dv_updates_received);
       h.field("dv_route_changes", r.dv_route_changes);
       h.field("dv_routes_withdrawn", r.dv_routes_withdrawn);
+      h.field("dv_counting_to_infinity", r.dv_counting_to_infinity);
       h.field("updates_per_router_sec", r.updates_per_router_s);
       h.values("convergence_s", r.convergence_s);
       h.object("delivered_during_outage", [&] {

@@ -42,10 +42,6 @@ constexpr std::array<InvariantInfo, kInvariantCount> kCatalogue{{
      "§4.2 / DESIGN §10",
      "a registration acked under a durable sync policy survives any "
      "crash-and-recover"},
-    {InvariantId::kCountingToInfinity, "counting-to-infinity",
-     "RFC 2453 §3.4.3 / DESIGN §14",
-     "no DV route's metric rises from the same next hop several "
-     "consecutive times short of infinity"},
 }};
 
 }  // namespace

@@ -68,15 +68,9 @@ enum class InvariantId : std::uint8_t {
   /// contains every acked binding (§4.2's registration contract extended
   /// over reboots).
   kDurableAckNotLost,
-  /// A distance-vector route's metric never rises from the same next hop
-  /// several consecutive times short of infinity — the mutual-deception
-  /// "counting to infinity" pathology split horizon with poisoned
-  /// reverse exists to prevent (RFC 2453 §3.4.3; the routing substrate
-  /// the paper's §3 host-specific routes ride on).
-  kCountingToInfinity,
 };
 
-inline constexpr std::size_t kInvariantCount = 14;
+inline constexpr std::size_t kInvariantCount = 13;
 
 [[nodiscard]] constexpr std::size_t index_of(InvariantId id) {
   return static_cast<std::size_t>(id);

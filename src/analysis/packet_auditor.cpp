@@ -36,22 +36,11 @@ std::string describe_packet(const net::Packet& p) {
 
 }  // namespace
 
-PacketAuditor::~PacketAuditor() { detach_all(); }
-
 void PacketAuditor::attach_link(net::Link& link) {
-  if (link.observer() == this) return;
-  link.set_observer(this);  // a replaced observer gets on_detached()
-  links_.push_back(&link);
-}
-
-void PacketAuditor::detach_link(net::Link& link) {
-  if (link.observer() == this) {
-    link.set_observer(nullptr);  // triggers our on_detached()
-  }
-}
-
-void PacketAuditor::on_detached(net::Link& link) {
-  links_.erase(std::remove(links_.begin(), links_.end(), &link), links_.end());
+  subscriptions_.push_back(link.on_transmit.add(
+      [this](const net::Link& l, const net::Frame& frame, sim::Time now) {
+        on_transmit(l, frame, now);
+      }));
 }
 
 void PacketAuditor::watch_cache(const core::LocationCache& cache,
@@ -62,31 +51,10 @@ void PacketAuditor::watch_cache(const core::LocationCache& cache,
   caches_.emplace_back(&cache, std::move(label));
 }
 
-void PacketAuditor::unwatch_cache(const core::LocationCache& cache) {
-  caches_.erase(std::remove_if(caches_.begin(), caches_.end(),
-                               [&](const auto& entry) {
-                                 return entry.first == &cache;
-                               }),
-                caches_.end());
-}
-
-void PacketAuditor::detach_all() {
-  // set_observer(nullptr) re-enters on_detached(), which edits links_.
-  const std::vector<net::Link*> attached = links_;
-  for (net::Link* link : attached) {
-    if (link->observer() == this) link->set_observer(nullptr);
-  }
-  links_.clear();
-  caches_.clear();
-}
-
 void PacketAuditor::on_transmit(const net::Link& link, const net::Frame& frame,
                                 sim::Time now) {
   ++report_.frames_audited;
-  if (cache_audit_interval_ != 0 &&
-      report_.frames_audited % cache_audit_interval_ == 0) {
-    audit_caches(now);
-  }
+  if (report_.frames_audited % kCacheAuditInterval == 0) audit_caches(now);
   if (!frame.is_ip()) {
     // ARP carries no audited invariants, but the lifecycle one still
     // holds: a down link must carry nothing at all.

@@ -1,15 +1,20 @@
-// PacketAuditor: attaches to the simulated wire (every Link) and, frame
-// by frame, validates the paper's wire invariants — MHRP header sizes
-// (§4.1), previous-source-list growth (§4.4), the no-duplicate guarantee
-// of loop contraction (§5.3), IP/ICMP/MHRP checksum validity, and TTL
-// monotonicity — plus the LocationCache structural invariants of every
-// cache it is asked to watch. Violations are collected into an
-// AuditReport that tests and benches assert on.
+// PacketAuditor: subscribes to the simulated wire (Link::on_transmit)
+// and, frame by frame, validates the paper's wire invariants — MHRP
+// header sizes (§4.1), previous-source-list growth (§4.4), the
+// no-duplicate guarantee of loop contraction (§5.3), IP/ICMP/MHRP
+// checksum validity, and TTL monotonicity — plus the LocationCache
+// structural invariants of every cache it is asked to watch. Violations
+// are collected into an AuditReport that tests and benches assert on.
 //
-// Attachment is runtime and costs one pointer test per transmission when
-// absent. Audit builds (cmake -DMHRP_AUDIT=ON) additionally auto-attach
-// a process-global auditor to every scenario topology (see
-// scenario/audit_hooks.hpp), so the whole suite runs under full audit.
+// Any number of auditors may watch one link; a link nobody watches pays
+// one empty-hook test per transmission. Every scenario world owns one
+// auditor, which audit builds (cmake -DMHRP_AUDIT=ON) attach to the
+// whole world (see scenario/audit_hooks.hpp).
+//
+// Lifetime rule: destroy an auditor before the links it observes and
+// the caches it watches. It holds a util::Subscription per link, which
+// must not outlive the link's hooks; declaring the auditor after the
+// world (or as the world's last member) is enough.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +30,13 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/hooks.hpp"
 
 namespace mhrp::analysis {
 
-class PacketAuditor final : public net::LinkObserver {
+class PacketAuditor {
  public:
   PacketAuditor() = default;
-  ~PacketAuditor() override;
 
   PacketAuditor(const PacketAuditor&) = delete;
   PacketAuditor& operator=(const PacketAuditor&) = delete;
@@ -44,25 +49,15 @@ class PacketAuditor final : public net::LinkObserver {
 
   // ---- Attachment ----
 
-  /// Observe every frame `link` carries. Lifetime is safe in both
-  /// directions: a destroyed link removes itself (LinkObserver::
-  /// on_detached) and the auditor's destructor detaches from live links.
+  /// Observe every frame `link` carries, until this auditor is
+  /// destroyed. Attach each link once: a second attach audits its
+  /// frames twice.
   void attach_link(net::Link& link);
-  void detach_link(net::Link& link);
 
-  /// Check `cache`'s structural invariants on every audit_caches() pass.
-  /// The cache must outlive the auditor or be unwatched first.
+  /// Check `cache`'s structural invariants on every audit_caches() pass,
+  /// which also runs every kCacheAuditInterval observed frames. The
+  /// cache must outlive the auditor.
   void watch_cache(const core::LocationCache& cache, std::string label);
-  void unwatch_cache(const core::LocationCache& cache);
-
-  /// Detach from every link and forget every watched cache.
-  void detach_all();
-
-  /// Watched caches are re-checked every `frames` observed frames
-  /// (default 256; 0 = only on explicit audit_caches() calls).
-  void set_cache_audit_interval(std::uint64_t frames) {
-    cache_audit_interval_ = frames;
-  }
 
   /// Oracle behind the stale-binding invariant, consulted for every
   /// MHRP-tunneled frame: given the tunnel head (outer IP source), the
@@ -80,10 +75,6 @@ class PacketAuditor final : public net::LinkObserver {
 
   // ---- Checks ----
 
-  void on_transmit(const net::Link& link, const net::Frame& frame,
-                   sim::Time now) override;
-  void on_detached(net::Link& link) override;
-
   /// Audit one datagram as if it crossed a wire at `now`. `where` names
   /// the observation point in violation reports.
   void audit_packet(const net::Packet& packet, sim::Time now = sim::kTimeZero,
@@ -92,9 +83,7 @@ class PacketAuditor final : public net::LinkObserver {
   /// Run the structural checks over every watched cache.
   void audit_caches(sim::Time now = sim::kTimeZero);
 
-  /// Drop accumulated per-datagram path state (TTL / list-length
-  /// history). The report is left untouched.
-  void forget_path_state() { paths_.clear(); }
+  static constexpr std::uint64_t kCacheAuditInterval = 256;
 
  private:
   /// Last-seen wire state of one datagram (keyed by Packet::id), used for
@@ -106,6 +95,9 @@ class PacketAuditor final : public net::LinkObserver {
     std::size_t last_list_len = 0;
   };
 
+  /// Link::on_transmit subscriber: audit one frame as it goes out.
+  void on_transmit(const net::Link& link, const net::Frame& frame,
+                   sim::Time now);
   void violate(InvariantId id, const net::Packet& packet, sim::Time now,
                const std::string& where, std::string what);
   void check_round_trip(const net::Packet& packet, sim::Time now,
@@ -119,9 +111,8 @@ class PacketAuditor final : public net::LinkObserver {
   BindingOracle binding_oracle_;
   util::ByteWriter scratch_;  // reused per-packet serialize buffer
   std::unordered_map<std::uint64_t, PathState> paths_;
-  std::vector<net::Link*> links_;
   std::vector<std::pair<const core::LocationCache*, std::string>> caches_;
-  std::uint64_t cache_audit_interval_ = 256;
+  std::vector<util::Subscription> subscriptions_;  // one per attached link
 
   /// Path-state entries are dropped wholesale past this many tracked
   /// datagrams (long benches would otherwise grow without bound; the

@@ -12,7 +12,6 @@ Link::Link(sim::Executive& sim, std::string name, sim::Time latency,
       bandwidth_bps_(bandwidth_bps) {}
 
 Link::~Link() {
-  if (observer_ != nullptr) observer_->on_detached(*this);
   for (Interface* iface : members_) iface->link_ = nullptr;
 }
 
@@ -127,7 +126,7 @@ MHRP_HOT_PATH void Link::transmit(const Interface& from, Frame frame) {
   }
   frames_carried_.fetch_add(1, std::memory_order_relaxed);
   bytes_carried_.fetch_add(frame.wire_size(), std::memory_order_relaxed);
-  if (observer_ != nullptr) observer_->on_transmit(*this, frame, sim_.now());
+  if (on_transmit) on_transmit(*this, frame, sim_.now());
   if (frame.is_ip()) {
     frame.packet().note_wire_crossing(frame.packet().wire_size());
   }

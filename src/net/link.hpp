@@ -14,11 +14,10 @@
 #include "net/interface.hpp"
 #include "sim/executive.hpp"
 #include "util/annotations.hpp"
+#include "util/hooks.hpp"
 #include "util/rng.hpp"
 
 namespace mhrp::net {
-
-class Link;
 
 /// Stochastic wire impairments applied to every frame a link carries,
 /// drawn from one seeded RNG so a run is exactly reproducible. The draw
@@ -42,26 +41,6 @@ struct LinkImpairments {
     return loss > 0.0 || extra_delay > 0 || jitter > 0 || duplicate > 0.0 ||
            reorder > 0.0;
   }
-};
-
-/// Observes every frame a Link actually carries (after the up/loss
-/// checks), at the moment of transmission. The audit layer
-/// (analysis::PacketAuditor) attaches through this to validate wire
-/// invariants at every hop; `now` is the simulated transmission time.
-class LinkObserver {
- public:
-  LinkObserver() = default;
-  LinkObserver(const LinkObserver&) = default;
-  LinkObserver& operator=(const LinkObserver&) = default;
-  LinkObserver(LinkObserver&&) = default;
-  LinkObserver& operator=(LinkObserver&&) = default;
-  virtual ~LinkObserver() = default;
-  virtual void on_transmit(const Link& link, const Frame& frame,
-                           sim::Time now) = 0;
-  /// The link stopped observing through this observer — it was destroyed
-  /// or another observer replaced this one. `link` may be mid-destruction;
-  /// only its address may be used.
-  virtual void on_detached(Link& link) { (void)link; }
 };
 
 class Link {
@@ -116,16 +95,11 @@ class Link {
   /// the matching member(s) after the link delay.
   MHRP_HOT_PATH void transmit(const Interface& from, Frame frame);
 
-  /// Install (or, with nullptr, remove) the transmission observer. A
-  /// replaced observer, and the observer of a link being destroyed, get
-  /// an on_detached() callback, so observers never hold dangling links.
-  void set_observer(LinkObserver* observer) {
-    if (observer_ != nullptr && observer_ != observer) {
-      observer_->on_detached(*this);
-    }
-    observer_ = observer;
-  }
-  [[nodiscard]] LinkObserver* observer() const { return observer_; }
+  /// Fired for every frame the link actually carries (after the up/loss
+  /// checks), at the moment of transmission, with the simulated
+  /// transmission time. The audit layer (analysis::PacketAuditor)
+  /// subscribes here to validate wire invariants at every hop.
+  util::Hooks<const Link&, const Frame&, sim::Time> on_transmit;
 
   // Traffic counters for metrics. Relaxed atomics: a backbone link is
   // transmitted onto from both endpoint shards concurrently, and counters
@@ -165,7 +139,6 @@ class Link {
   std::vector<Interface*> members_;
   LinkImpairments impairments_;
   util::Rng* rng_ = nullptr;
-  LinkObserver* observer_ = nullptr;
   std::atomic<bool> up_{true};
   std::atomic<std::uint64_t> frames_carried_{0};
   std::atomic<std::uint64_t> bytes_carried_{0};

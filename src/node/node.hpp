@@ -212,8 +212,7 @@ class Node : public net::FrameSink {
   void recover();
   [[nodiscard]] bool is_up() const { return up_; }
 
-  /// Fired from fail()/recover() with the new state (true = up) — the
-  /// node-side mirror of net::LinkObserver::on_state_changed.
+  /// Fired from fail()/recover() with the new state (true = up).
   util::Hooks<bool> on_state_changed;
 
   /// Fired with (interface, up) when the link attached to one of this

@@ -263,7 +263,6 @@ void DvProcess::on_update(const net::UdpDatagram& datagram,
         candidate > entry.metric) {
       if (++entry.consecutive_rises == kRiseSuspicion) {
         ++stats_.counting_to_infinity;
-        if (on_counting_to_infinity) on_counting_to_infinity(prefix, candidate);
       }
     } else if (candidate < entry.metric) {
       entry.consecutive_rises = 0;

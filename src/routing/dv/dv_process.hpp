@@ -52,7 +52,12 @@ struct DvStats {
   std::uint64_t routes_withdrawn = 0;   // poisoned (timeout, link-down, poison)
   std::uint64_t routes_expired = 0;     // timed out in silence
   std::uint64_t poisons_received = 0;   // metric-16 entries accepted
-  std::uint64_t counting_to_infinity = 0;  // suspected episodes (see hook)
+  // Suspected counting-to-infinity episodes: a route's metric rose from
+  // the same next hop three times in a row. Split horizon with poisoned
+  // reverse stops only two-router loops (RFC 2453 §3.4.3); a loop of
+  // three or more routers still counts up to infinity, so this is
+  // measured, not audited.
+  std::uint64_t counting_to_infinity = 0;
   std::uint64_t malformed_updates = 0;
 };
 
@@ -102,12 +107,6 @@ class DvProcess {
   /// learned, re-pointed, re-metric'd, or withdrawn. The scenario layer
   /// records these instants to measure convergence.
   std::function<void(const net::Prefix&, int metric)> on_route_change;
-  /// Fired when a route's metric has risen monotonically from the same
-  /// next hop often enough to suspect a counting-to-infinity episode
-  /// (the pathology split horizon + poisoned reverse exists to prevent;
-  /// audited as kCountingToInfinity).
-  std::function<void(const net::Prefix&, int metric)>
-      on_counting_to_infinity;
 
  private:
   struct Entry {

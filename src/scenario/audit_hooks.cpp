@@ -1,5 +1,8 @@
 #include "scenario/audit_hooks.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "scenario/deployment.hpp"
 
 namespace mhrp::scenario::audit {
@@ -26,17 +29,11 @@ bool audit_build() {
 #endif
 }
 
-analysis::PacketAuditor& global_auditor() {
-  static analysis::PacketAuditor auditor;
-  return auditor;
-}
-
-void auto_attach(Topology& topo) {
-#ifdef MHRP_AUDIT
-  attach(global_auditor(), topo);
-#else
-  (void)topo;
-#endif
+void require_clean(const analysis::AuditReport& report) {
+  if (report.clean()) return;
+  std::fputs(report.to_string().c_str(), stderr);
+  std::fflush(stderr);
+  std::abort();
 }
 
 }  // namespace mhrp::scenario::audit

@@ -1,19 +1,18 @@
 // Wiring between the audit layer (src/analysis/) and whole scenarios.
 //
-// Two modes:
-//  * Explicit — tests construct a PacketAuditor and attach() it to a
-//    world (any MhrpDeployment) or a bare Topology; links and (for
-//    worlds) every agent's LocationCache are covered. The auditor should
-//    be declared after the world (or detached before the world dies) so
-//    the watched caches outlive it; link lifetime is safe either way.
-//  * Audit builds (cmake -DMHRP_AUDIT=ON) — every unsharded world's
-//    MhrpDeployment::install() auto-attaches a process-global auditor, so
-//    the entire test and bench suite runs under wire audit. The global
-//    auditor watches links only (caches die with their scenarios).
+// Every world (any MhrpDeployment) owns one PacketAuditor, `auditor`,
+// declared as its last member so it dies before the links and caches it
+// watches. Audit builds (cmake -DMHRP_AUDIT=ON) attach it to every link
+// and agent cache of an unsharded world at install(), and a world whose
+// report holds a violation prints it and aborts when destroyed — so
+// every test, bench and example that builds a world is checked.
+//
+// Tests may attach auditors of their own as well; any number may watch
+// one link. The lifetime rule is PacketAuditor's: destroy an auditor
+// before the links it observes (declare it after the world).
 #pragma once
 
-#include <string>
-
+#include "analysis/audit_report.hpp"
 #include "analysis/packet_auditor.hpp"
 
 namespace mhrp::scenario {
@@ -35,13 +34,9 @@ void attach(analysis::PacketAuditor& auditor, MhrpDeployment& world);
 /// True when this binary was compiled with -DMHRP_AUDIT=ON.
 [[nodiscard]] bool audit_build();
 
-/// The process-global auditor audit builds attach automatically. Usable
-/// in any build (tests may assert on its report after a run).
-[[nodiscard]] analysis::PacketAuditor& global_auditor();
-
-/// Called by scenario constructors: in audit builds, attach the global
-/// auditor to every link of `topo`; otherwise a no-op.
-void auto_attach(Topology& topo);
+/// The audit-build teardown check: print a report that holds any
+/// violation to stderr and abort. Returns when the report is clean.
+void require_clean(const analysis::AuditReport& report);
 
 }  // namespace audit
 }  // namespace mhrp::scenario

@@ -12,6 +12,10 @@ MhrpDeployment::MhrpDeployment(const ProtocolOptions& protocol,
                                std::uint32_t shards)
     : topo(protocol.seed, shards), protocol_(protocol) {}
 
+MhrpDeployment::~MhrpDeployment() {
+  if (audit::audit_build()) audit::require_clean(auditor.report());
+}
+
 core::MobileHost& MhrpDeployment::add_mobile_host(
     const std::string& name, net::IpAddress home_address,
     const net::Interface& home_network, std::uint32_t shard,
@@ -89,9 +93,11 @@ void MhrpDeployment::install(const Roles& roles) {
         std::make_unique<core::MhrpAgent>(*node, agent_config(false, false)));
   }
 
-  // The audit layer's global observer reads every link from every shard;
-  // it stays a single-threaded instrument.
-  if (topo.sharded_executive() == nullptr) audit::auto_attach(topo);
+  // The auditor is a single-threaded instrument: a sharded world's links
+  // are transmitted onto from several shards at once.
+  if (audit::audit_build() && topo.sharded_executive() == nullptr) {
+    audit::attach(auditor, *this);
+  }
 }
 
 bool MhrpDeployment::attach_and_register(core::MobileHost& mobile,

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/packet_auditor.hpp"
 #include "core/agent.hpp"
 #include "routing/dv/dv_process.hpp"
 #include "scenario/protocol_options.hpp"
@@ -46,6 +47,9 @@ class MhrpDeployment {
                           std::uint32_t shards = 0);
   MhrpDeployment(const MhrpDeployment&) = delete;
   MhrpDeployment& operator=(const MhrpDeployment&) = delete;
+  /// In audit builds, aborts with the report when `auditor` recorded a
+  /// violation (audit::require_clean).
+  ~MhrpDeployment();
 
   // Declared first so it is destroyed last: the agents and DV processes
   // below hook into its nodes.
@@ -77,8 +81,9 @@ class MhrpDeployment {
   /// on every node, static routes, DV processes (seeded from their own
   /// stream, so enabling DV shifts no other draw), the home agent (store
   /// attached before provisioning, so the log holds every row), the
-  /// foreign agents, the cache agents, and — unsharded only — the audit
-  /// auto-attach. Call once, after the last node and link exist.
+  /// foreign agents, the cache agents, and — in audit builds, unsharded
+  /// only — `auditor` on every link and agent cache. Call once, after
+  /// the last node and link exist.
   void install(const Roles& roles);
 
   /// Attach `mobile` to `cell` and run until its registration completes
@@ -102,6 +107,11 @@ class MhrpDeployment {
   [[nodiscard]] core::AgentConfig agent_config(bool home, bool foreign) const;
 
   ProtocolOptions protocol_;
+
+ public:
+  /// This world's wire auditor (audit_hooks.hpp). Declared last so it is
+  /// destroyed first, before the links and caches it watches.
+  analysis::PacketAuditor auditor;
 };
 
 }  // namespace mhrp::scenario

@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "analysis/packet_auditor.hpp"
-#include "scenario/audit_hooks.hpp"
 #include "scenario/replay_digest.hpp"
 #include "telemetry/json_writer.hpp"
 
@@ -386,24 +385,6 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
       route_changes_.record(static_cast<std::uint32_t>(r),
                             sim::to_seconds(topo.sim().now()));
     };
-    // The counting-to-infinity detector files an audit violation; the
-    // audit layer is a single-threaded instrument, so sharded runs keep
-    // only the counter.
-    if (options.shards != 0) continue;
-    process.on_counting_to_infinity = [this, r](const net::Prefix& prefix,
-                                                int metric) {
-      analysis::PacketAuditor& auditor = audit::global_auditor();
-      if (!auditor.registry().enabled(
-              analysis::InvariantId::kCountingToInfinity)) {
-        return;
-      }
-      auditor.report().add(
-          {analysis::InvariantId::kCountingToInfinity, 0, topo.sim().now(),
-           routers[r]->name(),
-           "metric for " + prefix.to_string() +
-               " rose repeatedly from the same next hop (now " +
-               std::to_string(metric) + ")"});
-    };
   }
 
   if (sim::ShardedExecutive* sharded = topo.sharded_executive()) {
@@ -456,9 +437,6 @@ void ScaleWorld::bind_instruments() {
 }
 
 ScaleWorld::~ScaleWorld() {
-  // The binding oracle captures `this`; the process-global auditor
-  // outlives the world.
-  if (oracle_installed_) audit::global_auditor().set_binding_oracle(nullptr);
   // `instruments` (declared after `topo`) is destroyed first; the
   // simulator must not keep a pointer into it.
   topo.sim().set_profiler(nullptr);
@@ -617,7 +595,7 @@ void ScaleWorld::arm_chaos() {
   // are constrained — stale cache agents and forwarding pointers repair
   // lazily by design.
   const net::IpAddress ha_addr(kHomeLanBase + 1);
-  audit::global_auditor().set_binding_oracle(
+  auditor.set_binding_oracle(
       [this, ha_addr](net::IpAddress src, net::IpAddress mobile,
                       net::IpAddress dst, sim::Time now) {
         constexpr sim::Time kRepairWindow = sim::seconds(5);
@@ -631,7 +609,6 @@ void ScaleWorld::arm_chaos() {
         if (dst == ha_bindings_[i]) return true;
         return now - binding_changed_at_[i] <= kRepairWindow;
       });
-  oracle_installed_ = true;
 }
 
 void ScaleWorld::note_fault(const faults::FaultEvent& event) {
@@ -913,10 +890,6 @@ std::string ScaleWorld::metrics_json() const {
   instruments.registry.snapshot().write_json(json);
   json.end_object();
   return out.str();
-}
-
-std::string ScaleWorld::metrics_csv() const {
-  return instruments.registry.snapshot().to_csv();
 }
 
 }  // namespace mhrp::scenario

@@ -206,8 +206,6 @@ class ScaleWorld : public MhrpDeployment {
   /// "mhrp.scaleworld.metrics.v1": run parameters + every metric).
   /// Throws telemetry::NonFiniteJsonError if any value is non-finite.
   [[nodiscard]] std::string metrics_json() const;
-  /// The registry snapshot as "name,kind,field,value" CSV rows.
-  [[nodiscard]] std::string metrics_csv() const;
 
  private:
   /// One mobile's open outage, if any (start < 0 = none). The recovery
@@ -281,7 +279,6 @@ class ScaleWorld : public MhrpDeployment {
   sim::Time ha_crashed_at_ = -1;
   std::vector<net::IpAddress> ha_bindings_;      // per mobile, HA's view
   std::vector<sim::Time> binding_changed_at_;    // per mobile
-  bool oracle_installed_ = false;
   std::uint64_t events_executed_ = 0;
   ScaleRunStats last_totals_;
   bool started_ = false;

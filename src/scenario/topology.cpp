@@ -53,15 +53,6 @@ core::MobileHost& Topology::add_mobile_host(const std::string& name,
   return ref;
 }
 
-node::Node& Topology::adopt(std::unique_ptr<node::Node> node) {
-  node::Node& ref = *node;
-  by_name_[node->name()] = node.get();
-  nodes_.push_back(std::move(node));
-  is_mobile_.push_back(false);
-  on_node_added(ref);
-  return ref;
-}
-
 net::Link& Topology::add_link(const std::string& name, sim::Time latency,
                               std::uint64_t bandwidth_bps) {
   auto link = std::make_unique<net::Link>(*sim_, name, latency, bandwidth_bps);
@@ -104,27 +95,6 @@ Topology::IfaceOwnerMap Topology::iface_owners() const {
     }
   }
   return owners;
-}
-
-routing::Graph Topology::build_graph() const {
-  const IfaceOwnerMap owners = iface_owners();
-  routing::Graph graph(nodes_.size());
-  // Nodes sharing a link are adjacent; cost 1 per link crossing.
-  for (const auto& link : links_) {
-    const auto& members = link->members();
-    for (std::size_t a = 0; a < members.size(); ++a) {
-      for (std::size_t b = 0; b < members.size(); ++b) {
-        if (a == b) continue;
-        const auto ia = owners.find(members[a]);
-        const auto ib = owners.find(members[b]);
-        if (ia != owners.end() && ib != owners.end()) {
-          graph[static_cast<std::size_t>(ia->second)].push_back(
-              {ib->second, 1.0});
-        }
-      }
-    }
-  }
-  return graph;
 }
 
 void Topology::add_aggregate(net::Prefix prefix,
@@ -310,11 +280,24 @@ int Topology::hop_distance(const node::Node& a, const node::Node& b) {
 }
 
 std::vector<int> Topology::hop_distances(const node::Node& from) {
-  const auto sp = routing::shortest_paths(build_graph(), index_of(from));
+  // Breadth-first over link membership: nodes sharing a link are one hop
+  // apart.
+  const IfaceOwnerMap owners = iface_owners();
   std::vector<int> hops(nodes_.size(), -1);
-  for (std::size_t v = 0; v < hops.size(); ++v) {
-    if (sp.reachable(static_cast<int>(v))) {
-      hops[v] = static_cast<int>(sp.distance[v]);
+  std::vector<std::size_t> queue{static_cast<std::size_t>(index_of(from))};
+  hops[queue.front()] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::size_t u = queue[head];
+    for (const auto& iface : nodes_[u]->interfaces()) {
+      if (!iface->attached()) continue;
+      for (const net::Interface* member : iface->link()->members()) {
+        const auto owner = owners.find(member);
+        if (owner == owners.end()) continue;
+        const auto v = static_cast<std::size_t>(owner->second);
+        if (hops[v] >= 0) continue;
+        hops[v] = hops[u] + 1;
+        queue.push_back(v);
+      }
     }
   }
   return hops;

@@ -24,7 +24,6 @@
 #include "core/mobile_host.hpp"
 #include "node/host.hpp"
 #include "node/router.hpp"
-#include "routing/dijkstra.hpp"
 #include "sim/executive.hpp"
 #include "sim/sharded_executive.hpp"
 #include "sim/simulator.hpp"
@@ -71,8 +70,6 @@ class Topology {
                                     int home_prefix_length,
                                     core::MobileHostConfig config,
                                     std::uint32_t shard = 0);
-  /// Adopt an externally constructed node (ownership transfers).
-  node::Node& adopt(std::unique_ptr<node::Node> node);
 
   net::Link& add_link(const std::string& name,
                       sim::Time latency = sim::millis(1),
@@ -144,7 +141,7 @@ class Topology {
   // ---- Observation ----
 
   /// Fired for every node added from now on, on all construction paths
-  /// (add_router/add_host/add_mobile_host/adopt). Observers like Tracer
+  /// (add_router/add_host/add_mobile_host). Observers like Tracer
   /// subscribe to cover nodes created after they attached.
   util::Hooks<node::Node&> on_node_added;
 
@@ -160,7 +157,6 @@ class Topology {
   // mhrp-lint: allow(pointer-keyed) lookup-only ownership registry
   using IfaceOwnerMap = std::unordered_map<const net::Interface*, int>;
   [[nodiscard]] IfaceOwnerMap iface_owners() const;
-  [[nodiscard]] routing::Graph build_graph() const;
   [[nodiscard]] int index_of(const node::Node& node) const;
 
   // Declared first so it is destroyed last: node/link destructors cancel

@@ -30,10 +30,6 @@ void CbrFlow::stop() { timer_.stop(); }
 
 void CbrFlow::tick() {
   ++sent_;
-  if (emit_override) {
-    emit_override(payload_);
-    return;
-  }
   net::IpHeader h;
   h.protocol = net::to_u8(net::IpProto::kUdp);
   h.dst = dst_;

@@ -5,7 +5,6 @@
 // host).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/mobile_host.hpp"
@@ -28,11 +27,6 @@ class CbrFlow {
 
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t flow_id() const { return flow_id_; }
-
-  /// Hook to customize how each datagram is emitted (the baseline
-  /// comparison benches replace plain send_udp with a protocol-specific
-  /// sender). Receives the payload bytes.
-  std::function<void(const std::vector<std::uint8_t>&)> emit_override;
 
  private:
   void tick();

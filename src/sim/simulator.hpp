@@ -95,16 +95,6 @@ class Simulator final : public Executive {
     return run_until(now_ + duration);
   }
 
-  /// Execute exactly one event, if any. Returns whether one ran.
-  bool step() {
-    serial_.assert_held();
-    if (queue_.empty()) return false;
-    auto fired = queue_.pop();
-    now_ = fired.when;
-    fired.action();
-    return true;
-  }
-
   /// Request that the current run() / run_until() return after the
   /// currently executing event completes.
   void stop() override {

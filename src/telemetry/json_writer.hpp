@@ -51,8 +51,8 @@ class JsonWriter {
   void value(const char* v) { value(std::string_view(v)); }
   void null();
 
-  /// Render a double exactly as value(double) would (shared with the CSV
-  /// exporter so both formats agree). Throws NonFiniteJsonError on
+  /// Render a double exactly as value(double) would (shared with the text
+  /// snapshot so both formats agree). Throws NonFiniteJsonError on
   /// non-finite input.
   [[nodiscard]] static std::string format_number(double v);
 

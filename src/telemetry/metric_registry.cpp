@@ -143,35 +143,4 @@ std::string MetricsSnapshot::to_json() const {
   return out.str();
 }
 
-std::string MetricsSnapshot::to_csv() const {
-  std::ostringstream out;
-  out << "name,kind,field,value\n";
-  const auto row = [&out](const std::string& name, MetricKind kind,
-                          const char* field, const std::string& value) {
-    out << name << ',' << kind_name(kind) << ',' << field << ',' << value
-        << '\n';
-  };
-  for (const Entry& e : entries) {
-    switch (e.kind) {
-      case MetricKind::kProbe:
-        row(e.name, e.kind, "value",
-            JsonWriter::format_number(std::get<double>(e.value)));
-        break;
-      case MetricKind::kHistogram: {
-        const auto& h = std::get<HistogramStats>(e.value);
-        row(e.name, e.kind, "count", std::to_string(h.count));
-        row(e.name, e.kind, "sum", JsonWriter::format_number(h.sum));
-        row(e.name, e.kind, "min", JsonWriter::format_number(h.min));
-        row(e.name, e.kind, "max", JsonWriter::format_number(h.max));
-        row(e.name, e.kind, "mean", JsonWriter::format_number(h.mean));
-        row(e.name, e.kind, "p50", JsonWriter::format_number(h.p50));
-        row(e.name, e.kind, "p90", JsonWriter::format_number(h.p90));
-        row(e.name, e.kind, "p99", JsonWriter::format_number(h.p99));
-        break;
-      }
-    }
-  }
-  return out.str();
-}
-
 }  // namespace mhrp::telemetry

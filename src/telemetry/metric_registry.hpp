@@ -24,8 +24,8 @@ namespace mhrp::telemetry {
 enum class MetricKind : std::uint8_t { kHistogram, kProbe };
 
 /// Point-in-time copy of every registered instrument, sorted by name.
-/// All exporters (text digest, JSON, CSV) render from the same snapshot so
-/// the three formats can never disagree.
+/// Both exporters (text digest, JSON) render from the same snapshot so
+/// the two formats can never disagree.
 struct MetricsSnapshot {
   struct HistogramStats {
     std::uint64_t count = 0;
@@ -51,8 +51,6 @@ struct MetricsSnapshot {
   /// Strict JSON object keyed by metric name. Throws NonFiniteJsonError if
   /// any value is non-finite.
   [[nodiscard]] std::string to_json() const;
-  /// "name,kind,field,value" rows with a header, one row per scalar.
-  [[nodiscard]] std::string to_csv() const;
 
   /// Write just the metrics object ({"name": {...}, ...}) into an
   /// in-progress document — for exporters that wrap the snapshot in a

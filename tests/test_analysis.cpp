@@ -8,6 +8,7 @@
 #include "core/location_cache.hpp"
 #include "net/icmp.hpp"
 #include "net/packet.hpp"
+#include "scenario/topology.hpp"
 
 namespace mhrp {
 namespace {
@@ -61,6 +62,27 @@ TEST(PacketAuditor, CleanTrafficIsNotFlagged) {
   EXPECT_TRUE(auditor.report().clean()) << auditor.report().to_string();
   EXPECT_EQ(auditor.report().packets_audited, 8u);
   EXPECT_EQ(auditor.report().mhrp_packets_audited, 4u);
+}
+
+TEST(PacketAuditor, TwoAuditorsOnOneLinkBothSeeEveryFrame) {
+  scenario::Topology topo;
+  node::Host& a = topo.add_host("A");
+  node::Host& b = topo.add_host("B");
+  net::Link& lan = topo.add_link("lan");
+  topo.connect(a, lan, ip("10.1.0.1"), 24);
+  topo.connect(b, lan, ip("10.1.0.2"), 24);
+  topo.install_static_routes();
+  PacketAuditor first;
+  PacketAuditor second;
+  first.attach_link(lan);
+  second.attach_link(lan);  // watches alongside `first`, never instead
+
+  a.send_udp(ip("10.1.0.2"), 1000, 2000, std::vector<std::uint8_t>(16, 0xAB));
+  topo.sim().run();
+
+  EXPECT_GE(first.report().frames_audited, 1u);
+  EXPECT_EQ(first.report().frames_audited, second.report().frames_audited);
+  EXPECT_TRUE(first.report().clean()) << first.report().to_string();
 }
 
 TEST(PacketAuditor, MhrpChecksumCorruptionIsFlagged) {

@@ -1,5 +1,5 @@
-// Unit tests: longest-prefix-match table and shortest paths; plus the
-// distance-vector service with §3 host-specific routes.
+// Unit tests: longest-prefix-match table, plus the distance-vector
+// service with §3 host-specific routes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "net/interface.hpp"
-#include "routing/dijkstra.hpp"
 #include "routing/dv/dv_process.hpp"
 #include "routing/routing_table.hpp"
 #include "scenario/topology.hpp"
@@ -319,84 +318,6 @@ TEST(RoutingTable, RandomOperationsMatchANaiveTierModel) {
   }
   // The run must have exercised a non-trivial table.
   EXPECT_GT(peak, 64u) << "peak " << peak;
-}
-
-TEST(Dijkstra, FindsShortestPathsAndFirstHops) {
-  // 0 - 1 - 2
-  //  \     /
-  //   - 3 -
-  routing::Graph g(4);
-  auto edge = [&](int a, int b, double c) {
-    g[std::size_t(a)].push_back({b, c});
-    g[std::size_t(b)].push_back({a, c});
-  };
-  edge(0, 1, 1);
-  edge(1, 2, 1);
-  edge(0, 3, 1);
-  edge(3, 2, 1);
-  auto sp = routing::shortest_paths(g, 0);
-  EXPECT_EQ(sp.distance[2], 2.0);
-  EXPECT_EQ(sp.distance[1], 1.0);
-  auto path = routing::path_to(sp, 0, 2);
-  ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(path.front(), 0);
-  EXPECT_EQ(path.back(), 2);
-}
-
-TEST(Dijkstra, UnreachableVerticesReported) {
-  routing::Graph g(3);
-  g[0].push_back({1, 1.0});
-  auto sp = routing::shortest_paths(g, 0);
-  EXPECT_FALSE(sp.reachable(2));
-  EXPECT_TRUE(routing::path_to(sp, 0, 2).empty());
-}
-
-TEST(Dijkstra, RespectsEdgeWeights) {
-  routing::Graph g(3);
-  g[0].push_back({1, 10.0});
-  g[0].push_back({2, 1.0});
-  g[2].push_back({1, 1.0});
-  auto sp = routing::shortest_paths(g, 0);
-  EXPECT_EQ(sp.distance[1], 2.0);
-  EXPECT_EQ(sp.first_hop[1], 2);
-}
-
-TEST(Dijkstra, EqualCostTieBreakIsInsertionOrderInvariant) {
-  // A 2x3 grid where every inner vertex is reachable over several
-  // equal-cost paths. The tie-break (lower predecessor id wins) must pin
-  // the exact same next hops whether the adjacency lists are built
-  // forwards or backwards, so a next hop read from first_hop never
-  // depends on the order in which edges were added.
-  //
-  //   0 - 1 - 2
-  //   |   |   |
-  //   3 - 4 - 5
-  const std::vector<std::pair<int, int>> edges = {
-      {0, 1}, {1, 2}, {3, 4}, {4, 5}, {0, 3}, {1, 4}, {2, 5}};
-  routing::Graph forward(6);
-  for (auto [a, b] : edges) {
-    forward[std::size_t(a)].push_back({b, 1.0});
-    forward[std::size_t(b)].push_back({a, 1.0});
-  }
-  routing::Graph backward(6);
-  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
-    backward[std::size_t(it->second)].push_back({it->first, 1.0});
-    backward[std::size_t(it->first)].push_back({it->second, 1.0});
-  }
-
-  auto render = [](const routing::ShortestPaths& sp) {
-    std::string out;
-    for (std::size_t v = 0; v < sp.first_hop.size(); ++v) {
-      out += std::to_string(v) + ":" + std::to_string(sp.first_hop[v]) + " ";
-    }
-    return out;
-  };
-  const auto sp_f = routing::shortest_paths(forward, 0);
-  const auto sp_b = routing::shortest_paths(backward, 0);
-  // Vertex 4 (via 1, not 3) and vertex 5 (via 1, not 3) pin the
-  // tie-break itself; the byte equality pins insertion-order invariance.
-  EXPECT_EQ(render(sp_f), "0:-1 1:1 2:1 3:3 4:1 5:1 ");
-  EXPECT_EQ(render(sp_f), render(sp_b));
 }
 
 // ---- Distance vector ----

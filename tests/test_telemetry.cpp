@@ -184,11 +184,6 @@ TEST(MetricRegistryTest, ExportersAgreeOnValues) {
             std::string::npos);
   EXPECT_NE(json.find("\"lat\":{\"kind\":\"histogram\",\"count\":1"),
             std::string::npos);
-
-  const std::string csv = snap.to_csv();
-  EXPECT_NE(csv.find("name,kind,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("hits,probe,value,12"), std::string::npos);
-  EXPECT_NE(csv.find("lat,histogram,count,1"), std::string::npos);
 }
 
 TEST(MetricRegistryTest, HistogramProbeRendersLikeALiveHistogram) {
@@ -339,18 +334,16 @@ scenario::ScaleWorldOptions small_world(std::uint64_t seed) {
 
 TEST(WorldTelemetryTest, SnapshotDeterministicAcrossSeededRuns) {
   // Two identically-seeded worlds, driven identically, must export
-  // byte-identical JSON and CSV — probes, histograms, and all.
+  // byte-identical JSON — probes, histograms, and all.
   const auto run = [] {
     scenario::ScaleWorld world(small_world(21));
     world.start();
     world.run_for(sim::seconds(8));
-    return std::pair{world.metrics_json(), world.metrics_csv()};
+    return world.metrics_json();
   };
-  const auto first = run();
-  const auto second = run();
-  ASSERT_FALSE(first.first.empty());
-  EXPECT_EQ(first.first, second.first);
-  EXPECT_EQ(first.second, second.second);
+  const std::string first = run();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, run());
 }
 
 TEST(WorldTelemetryTest, ScaleWorldExportsAreStrictAndPopulated) {

@@ -43,14 +43,10 @@ API rules
                   [[nodiscard]] — silently dropping them loses a
                   cancellation capability or a durability acknowledgment.
 
-Engines
-  The default engine is a C++-aware tokenizer: it strips comments and
-  string literals, tracks brace depth and function boundaries, and applies
-  the rules lexically. When the libclang Python bindings are importable
-  and a compile database is given, `--engine clang` runs the same rules
-  over the AST instead (more precise scoping; same finding format). The
-  tokenizer is the reference engine — CI pins it so results do not depend
-  on the host's libclang.
+Engine
+  A C++-aware tokenizer: it strips comments and string literals, tracks
+  brace depth and function boundaries, and applies the rules lexically.
+  It needs nothing beyond Python, so every host gets the same findings.
 
 Suppressions
   // mhrp-lint: allow(rule[,rule...]) <reason>     on the offending line,
@@ -609,93 +605,6 @@ class TokenEngine:
 
 
 # --------------------------------------------------------------------------
-# libclang engine (optional; same findings, AST-precise scoping)
-# --------------------------------------------------------------------------
-
-class ClangEngine:
-    """AST engine over the CMake compile database. Requires the libclang
-    Python bindings; construction raises ImportError when unavailable and
-    the driver falls back to the tokenizer."""
-
-    def __init__(self, compile_db_dir: str, repo_root: str):
-        import clang.cindex as ci  # noqa: F401 (ImportError -> fallback)
-        self.ci = ci
-        self.repo_root = repo_root
-        self.db = ci.CompilationDatabase.fromDirectory(compile_db_dir)
-        self.index = ci.Index.create()
-
-    def run(self, files: list[tuple[str, str]],
-            wallclock_allow: set[str]) -> list[Finding]:
-        ci = self.ci
-        findings: list[Finding] = []
-        parsed: set[str] = set()
-        for abspath, relpath in files:
-            if not abspath.endswith(".cpp") or abspath in parsed:
-                continue
-            cmds = self.db.getCompileCommands(abspath)
-            if not cmds:
-                continue
-            args = [a for a in list(cmds[0].arguments)[1:-1]
-                    if a not in ("-c", "-o", abspath)]
-            try:
-                tu = self.index.parse(abspath, args=args)
-            except ci.TranslationUnitLoadError:
-                continue
-            parsed.add(abspath)
-            findings += self._walk(tu.cursor, wallclock_allow)
-        return findings
-
-    def _rel(self, location) -> str | None:
-        if not location.file:
-            return None
-        p = os.path.relpath(str(location.file), self.repo_root)
-        return p.replace(os.sep, "/") if not p.startswith("..") else None
-
-    def _walk(self, cursor, wallclock_allow: set[str]) -> list[Finding]:
-        ci = self.ci
-        out: list[Finding] = []
-
-        def visit(node, fn_name: str, hot: bool):
-            rel = self._rel(node.location)
-            if node.kind in (ci.CursorKind.FUNCTION_DECL,
-                             ci.CursorKind.CXX_METHOD,
-                             ci.CursorKind.CONSTRUCTOR):
-                fn_name = node.spelling
-                hot = any("hot" in (t.spelling or "")
-                          for t in node.get_tokens()
-                          if t.kind == ci.TokenKind.IDENTIFIER) and \
-                    "MHRP_HOT_PATH" in _token_text(node)
-            if rel is not None and rel.startswith("src/"):
-                text = _token_text(node) if node.kind in (
-                    ci.CursorKind.CALL_EXPR, ci.CursorKind.DECL_REF_EXPR,
-                    ci.CursorKind.CXX_NEW_EXPR,
-                    ci.CursorKind.CXX_FOR_RANGE_STMT) else ""
-                if node.kind == ci.CursorKind.CXX_NEW_EXPR and hot:
-                    out.append(Finding("hotpath-alloc", rel,
-                                       node.location.line, fn_name,
-                                       "operator new in MHRP_HOT_PATH "
-                                       "function"))
-                if text and rel not in wallclock_allow:
-                    for pat, what in WALLCLOCK_PATTERNS:
-                        if pat.search(text):
-                            out.append(Finding("wallclock", rel,
-                                               node.location.line, fn_name,
-                                               f"{what} (AST)"))
-                            break
-            for child in node.get_children():
-                visit(child, fn_name, hot)
-
-        def _token_text(node) -> str:
-            try:
-                return " ".join(t.spelling for t in node.get_tokens())
-            except Exception:  # noqa: BLE001 — tokens can fail on odd TUs
-                return ""
-
-        visit(cursor, "<file-scope>", False)
-        return out
-
-
-# --------------------------------------------------------------------------
 # Baseline ratchet
 # --------------------------------------------------------------------------
 
@@ -796,11 +705,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("paths", nargs="*", help="files or directories to lint "
                     "(default: <repo>/src)")
     ap.add_argument("--compile-db", help="compile_commands.json; adds its "
-                    "src/ TUs to the file list and enables --engine clang")
-    ap.add_argument("--engine", choices=("auto", "tokens", "clang"),
-                    default="auto",
-                    help="auto prefers libclang when importable and a "
-                    "compile DB is given, else the tokenizer (default)")
+                    "src/ TUs to the file list")
     ap.add_argument("--baseline", help="baseline.json ratchet: matching "
                     "findings pass, stale entries fail")
     ap.add_argument("--write-baseline", metavar="PATH",
@@ -832,25 +737,7 @@ def main(argv: list[str] | None = None) -> int:
     wallclock_allow = set(DEFAULT_WALLCLOCK_ALLOW) | set(args.wallclock_allow)
 
     models = [build_file_model(ab, rel) for ab, rel in files]
-    engine_used = "tokens"
     findings = TokenEngine(models).run(wallclock_allow)
-    if args.engine in ("auto", "clang") and args.compile_db:
-        try:
-            clang_engine = ClangEngine(
-                os.path.dirname(os.path.abspath(args.compile_db)), repo_root)
-            ast_findings = clang_engine.run(files, wallclock_allow)
-            known = {f.key for f in findings}
-            findings += [f for f in ast_findings if f.key not in known]
-            engine_used = "tokens+clang"
-        except ImportError:
-            if args.engine == "clang":
-                print("mhrp-lint: --engine clang requested but the libclang "
-                      "python bindings are not importable", file=sys.stderr)
-                return 2
-    elif args.engine == "clang":
-        print("mhrp-lint: --engine clang requires --compile-db",
-              file=sys.stderr)
-        return 2
 
     if args.rule:
         findings = [f for f in findings if f.rule in set(args.rule)]
@@ -888,7 +775,7 @@ def main(argv: list[str] | None = None) -> int:
         for e in stale:
             print(f"STALE baseline entry (fixed? remove it): "
                   f"[{e['rule']}] {e['file']} '{e['symbol']}'")
-        print(f"mhrp-lint: {len(files)} files, engine={engine_used}: "
+        print(f"mhrp-lint: {len(files)} files: "
               f"{len(active)} finding(s), {len(baselined)} baselined, "
               f"{len(suppressed)} suppressed, {len(stale)} stale baseline "
               f"entr{'y' if len(stale) == 1 else 'ies'}")
