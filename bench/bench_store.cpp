@@ -59,7 +59,7 @@
 #include "harness.hpp"
 #include "scenario/metrics.hpp"
 #include "scenario/scale_world.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_executive.hpp"
 #include "store/home_store.hpp"
 #include "store/sim_disk.hpp"
 #include "store/wal_store.hpp"
@@ -162,7 +162,7 @@ BindingPoint run_binding_point(bench::Harness& h, store::SyncPolicy policy,
   o.disk_sectors = 2 + 2 * o.snapshot_region_sectors +
                    bindings * 28 * 11 / 10 / o.sector_size + 64;
 
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   store::HomeStore hs(sim, o);
 
   const sim::Time spacing = sim::micros(20);

@@ -15,7 +15,7 @@
 
 #include "sim/event_category.hpp"
 #include "sim/profiler.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_executive.hpp"
 #include "telemetry/metric.hpp"
 #include "telemetry/trace.hpp"
 
@@ -111,7 +111,7 @@ BENCHMARK(BM_TraceSpanEnabled);
 /// One batch of no-op events through the full simulator executive.
 /// `profiled` toggles an installed EventLoopProfiler.
 void run_event_loop_bench(benchmark::State& state, bool profiled) {
-  mhrp::sim::Simulator sim;
+  mhrp::sim::ShardedExecutive sim(1);
   mhrp::sim::EventLoopProfiler profiler;
   if (profiled) sim.set_profiler(&profiler);
   constexpr int kBatch = 64;

@@ -59,7 +59,7 @@ class Interface {
   [[nodiscard]] Link* link() const { return link_; }
   [[nodiscard]] bool attached() const { return link_ != nullptr; }
 
-  /// The executive shard of the owning node (0 single-threaded). Links
+  /// The executive shard of the owning node (0 with one shard). Links
   /// use this to decide whether a delivery is shard-local or must travel
   /// as a cross-shard message. Set by Node::add_interface.
   [[nodiscard]] std::uint32_t shard() const { return shard_; }

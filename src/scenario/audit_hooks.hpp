@@ -3,7 +3,7 @@
 // Every world (any MhrpDeployment) owns one PacketAuditor, `auditor`,
 // declared as its last member so it dies before the links and caches it
 // watches. Audit builds (cmake -DMHRP_AUDIT=ON) attach it to every link
-// and agent cache of an unsharded world at install(), and a world whose
+// and agent cache of a one-shard world at install(), and a world whose
 // report holds a violation prints it and aborts when destroyed — so
 // every test, bench and example that builds a world is checked.
 //
@@ -27,7 +27,7 @@ namespace audit {
 void attach(analysis::PacketAuditor& auditor, Topology& topo);
 
 /// Attach to every link and watch every installed agent's cache, each
-/// labelled "<node name> cache". Unsharded worlds only: the auditor is a
+/// labelled "<node name> cache". One-shard worlds only: the auditor is a
 /// single-threaded instrument.
 void attach(analysis::PacketAuditor& auditor, MhrpDeployment& world);
 

@@ -93,9 +93,9 @@ void MhrpDeployment::install(const Roles& roles) {
         std::make_unique<core::MhrpAgent>(*node, agent_config(false, false)));
   }
 
-  // The auditor is a single-threaded instrument: a sharded world's links
-  // are transmitted onto from several shards at once.
-  if (audit::audit_build() && topo.sharded_executive() == nullptr) {
+  // The auditor is a single-threaded instrument: a world with more than
+  // one shard transmits onto its links from several threads at once.
+  if (audit::audit_build() && topo.shard_count() == 1) {
     audit::attach(auditor, *this);
   }
 }

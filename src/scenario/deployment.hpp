@@ -42,9 +42,10 @@ struct Roles {
 
 class MhrpDeployment {
  public:
-  /// `shards` as for Topology: 0 runs on the single-threaded Simulator.
+  /// `shards` as for Topology: one (the default) runs inline, and 0 is
+  /// rejected with std::invalid_argument.
   explicit MhrpDeployment(const ProtocolOptions& protocol,
-                          std::uint32_t shards = 0);
+                          std::uint32_t shards = 1);
   MhrpDeployment(const MhrpDeployment&) = delete;
   MhrpDeployment& operator=(const MhrpDeployment&) = delete;
   /// In audit builds, aborts with the report when `auditor` recorded a
@@ -81,8 +82,8 @@ class MhrpDeployment {
   /// on every node, static routes, DV processes (seeded from their own
   /// stream, so enabling DV shifts no other draw), the home agent (store
   /// attached before provisioning, so the log holds every row), the
-  /// foreign agents, the cache agents, and — in audit builds, unsharded
-  /// only — `auditor` on every link and agent cache. Call once, after
+  /// foreign agents, the cache agents, and — in audit builds, one-shard
+  /// worlds only — `auditor` on every link and agent cache. Call once, after
   /// the last node and link exist.
   void install(const Roles& roles);
 

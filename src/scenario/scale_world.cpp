@@ -235,12 +235,11 @@ ScaleWorldOptions validate(ScaleWorldOptions o) {
   if (o.correspondents < 1 || o.correspondents > 200) {
     throw std::invalid_argument("ScaleWorld: correspondents out of range");
   }
-  if (o.shards < 0 || o.shards > 64) {
+  if (o.shards < 1 || o.shards > 64) {
     throw std::invalid_argument("ScaleWorld: shards out of range");
   }
-  if (o.movement_regions == 0) o.movement_regions = std::max(1, o.shards);
-  if (o.movement_regions < 1 ||
-      (o.shards > 0 && o.movement_regions % o.shards != 0)) {
+  if (o.movement_regions == 0) o.movement_regions = o.shards;
+  if (o.movement_regions < 1 || o.movement_regions % o.shards != 0) {
     throw std::invalid_argument(
         "ScaleWorld: movement_regions must be a positive multiple of shards");
   }
@@ -249,17 +248,17 @@ ScaleWorldOptions validate(ScaleWorldOptions o) {
     throw std::invalid_argument(
         "ScaleWorld: more movement regions than cells/routers");
   }
-  if (o.shards > 0) {
+  if (o.shards > 1) {
     // See DESIGN.md §13: trace and the profiler interleave wall-clock
     // observations across workers; loss bursts draw from one shared RNG
     // on links transmitted from several shards.
     if (o.telemetry.trace || o.telemetry.profiler) {
       throw std::invalid_argument(
-          "ScaleWorld: trace/profiler telemetry requires shards == 0");
+          "ScaleWorld: trace/profiler telemetry requires shards == 1");
     }
     if (o.chaos.loss_bursts_per_sec > 0) {
       throw std::invalid_argument(
-          "ScaleWorld: chaos loss bursts require shards == 0");
+          "ScaleWorld: chaos loss bursts require shards == 1");
     }
   }
   return o;
@@ -283,9 +282,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   // shard. Only backbone circuits ever cross shards.
   auto region_of_router = [n, regions](int r) { return (r * regions) / n; };
   auto shard_of_region = [this, regions](int g) {
-    return options.shards == 0
-               ? 0u
-               : static_cast<std::uint32_t>((g * options.shards) / regions);
+    return static_cast<std::uint32_t>((g * options.shards) / regions);
   };
 
   const AddressPlan plan = plan_addresses(options);
@@ -387,11 +384,11 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
     };
   }
 
-  if (sim::ShardedExecutive* sharded = topo.sharded_executive()) {
+  if (topo.shard_count() > 1) {
     // Lookahead = the narrowest latency any cross-shard frame pays, the
     // widest window the placement can fund (DESIGN.md §13).
     const sim::Time lookahead = topo.min_cross_shard_latency();
-    if (lookahead > 0) sharded->set_lookahead(lookahead);
+    if (lookahead > 0) topo.sim().set_lookahead(lookahead);
   }
 
   bind_instruments();
@@ -573,9 +570,10 @@ void ScaleWorld::arm_chaos() {
   ha_bindings_.assign(mobiles.size(), net::IpAddress());
   binding_changed_at_.assign(mobiles.size(), 0);
   // Staleness bookkeeping and the binding oracle read per-mobile outage
-  // state from the HA's shard; sharded runs skip both (the auditor is
-  // not attached there either), so the staleness series stays empty.
-  if (options.shards != 0) return;
+  // state from the HA's shard; runs with more than one shard skip both
+  // (the auditor is not attached there either), so the staleness series
+  // stays empty.
+  if (topo.shard_count() > 1) return;
   subscriptions_.push_back(ha->on_binding_changed.add(
       [this](net::IpAddress mobile, net::IpAddress fa) {
         const std::uint32_t raw = mobile.raw();
@@ -658,7 +656,7 @@ void ScaleWorld::note_fault(const faults::FaultEvent& event) {
         } else {
           // The mobile's outage clock lives on its shard; hop there at
           // the earliest legal cross-shard time (now + lookahead).
-          const sim::Time w = topo.sharded_executive()->lookahead();
+          const sim::Time w = topo.sim().lookahead();
           topo.sim().post(
               mobile_shard_[i], now + w,
               [this, i] { open_outage_for_mobile(i, topo.sim().now()); },
@@ -681,10 +679,10 @@ void ScaleWorld::note_fault(const faults::FaultEvent& event) {
     const net::IpAddress agent = fas[site]->agent_address();
     // FA crashes already execute on the site's shard; cell link faults
     // execute on the plane's shard (shard 0), so hop when they differ.
-    if (options.shards == 0 || cell_shard_[site] == topo.sim().shard_id()) {
+    if (cell_shard_[site] == topo.sim().shard_id()) {
       open_outages_for(agent);
     } else {
-      const sim::Time w = topo.sharded_executive()->lookahead();
+      const sim::Time w = topo.sim().lookahead();
       topo.sim().post(
           cell_shard_[site], topo.sim().now() + w,
           [this, agent] { open_outages_for(agent); },
@@ -697,8 +695,8 @@ void ScaleWorld::open_outages_for(net::IpAddress foreign_agent) {
   const sim::Time now = topo.sim().now();
   // Runs on the orphaned cell's shard, and every mobile that can be
   // registered there lives on that shard too (mobiles roam only their
-  // own region's cells). The filter is a no-op serial and keeps worker
-  // shards off foreign mobiles' state sharded.
+  // own region's cells). The filter is a no-op with one shard and keeps
+  // worker shards off foreign mobiles' state with more.
   const std::uint32_t self = topo.sim().shard_id();
   for (std::size_t i = 0; i < mobiles.size(); ++i) {
     if (mobile_shard_[i] != self) continue;

@@ -60,19 +60,18 @@ struct ScaleWorldOptions {
   sim::Time mean_dwell = sim::seconds(5);  // per-cell dwell (exponential)
   sim::Time cbr_interval = sim::millis(200);
   std::size_t cbr_payload = 64;
-  /// Executive sharding. 0 (default) = the single-threaded Simulator;
-  /// >= 1 = a ShardedExecutive with that many worker threads. Router
-  /// regions, their cells, and the mobiles roaming them are placed
-  /// round-robin-free (contiguous region blocks) so every wireless cell
-  /// is shard-local and only backbone circuits cross shards. Replay
-  /// digests are byte-identical for a FIXED shard count; shards == 1
-  /// matches the single-threaded digest exactly. Sharded runs refuse
-  /// trace/profiler telemetry, chaos loss bursts, and the audit layer
-  /// (DESIGN.md §13).
-  int shards = 0;
+  /// Executive shards, 1..64. One (the default) runs inline on the
+  /// caller's thread; more run one worker thread each. Router regions,
+  /// their cells, and the mobiles roaming them are placed round-robin-free
+  /// (contiguous region blocks) so every wireless cell is shard-local and
+  /// only backbone circuits cross shards. Replay digests are
+  /// byte-identical for a FIXED shard count. Worlds with more than one
+  /// shard refuse trace/profiler telemetry and chaos loss bursts, and
+  /// skip the audit layer and the staleness oracle (DESIGN.md §13).
+  int shards = 1;
   /// Movement partitioning: mobiles are split over this many regions and
   /// each roams only its region's cells. 0 = one region per shard (one
-  /// global region when single-threaded). Must be a positive multiple of
+  /// global region with one shard). Must be a positive multiple of
   /// `shards`; pin it explicitly (e.g. 8) to compare digests across
   /// shard counts, since the region count changes where mobiles roam.
   int movement_regions = 0;

@@ -5,19 +5,9 @@
 
 namespace mhrp::scenario {
 
-sim::Executive& Topology::executive_for(std::uint32_t shard) {
-  if (sharded_ == nullptr) {
-    if (shard != 0) {
-      throw std::out_of_range("Topology: shard out of range (single-threaded)");
-    }
-    return *sim_;
-  }
-  return sharded_->shard_view(shard);
-}
-
 node::Router& Topology::add_router(const std::string& name,
                                    std::uint32_t shard) {
-  auto router = std::make_unique<node::Router>(executive_for(shard), name);
+  auto router = std::make_unique<node::Router>(sim_.shard_view(shard), name);
   node::Router& ref = *router;
   nodes_.push_back(std::move(router));
   is_mobile_.push_back(false);
@@ -28,7 +18,7 @@ node::Router& Topology::add_router(const std::string& name,
 
 node::Host& Topology::add_host(const std::string& name,
                                std::uint32_t shard) {
-  auto host = std::make_unique<node::Host>(executive_for(shard), name);
+  auto host = std::make_unique<node::Host>(sim_.shard_view(shard), name);
   node::Host& ref = *host;
   nodes_.push_back(std::move(host));
   is_mobile_.push_back(false);
@@ -42,7 +32,7 @@ core::MobileHost& Topology::add_mobile_host(const std::string& name,
                                             int home_prefix_length,
                                             core::MobileHostConfig config,
                                             std::uint32_t shard) {
-  auto mh = std::make_unique<core::MobileHost>(executive_for(shard), name,
+  auto mh = std::make_unique<core::MobileHost>(sim_.shard_view(shard), name,
                                                home_ip, home_prefix_length,
                                                config);
   core::MobileHost& ref = *mh;
@@ -55,7 +45,7 @@ core::MobileHost& Topology::add_mobile_host(const std::string& name,
 
 net::Link& Topology::add_link(const std::string& name, sim::Time latency,
                               std::uint64_t bandwidth_bps) {
-  auto link = std::make_unique<net::Link>(*sim_, name, latency, bandwidth_bps);
+  auto link = std::make_unique<net::Link>(sim_, name, latency, bandwidth_bps);
   net::Link& ref = *link;
   links_.push_back(std::move(link));
   link_by_name_[name] = &ref;

@@ -1,4 +1,4 @@
-// Topology: owns a simulated internetwork — the simulator, every node,
+// Topology: owns a simulated internetwork — the executive, every node,
 // every link — and installs routing state that models a *converged*
 // standard IP routing system (shortest paths over the link graph), which
 // is what the paper assumes underneath MHRP ("the standard IP routing
@@ -26,7 +26,6 @@
 #include "node/router.hpp"
 #include "sim/executive.hpp"
 #include "sim/sharded_executive.hpp"
-#include "sim/simulator.hpp"
 #include "util/hooks.hpp"
 #include "util/rng.hpp"
 
@@ -34,31 +33,19 @@ namespace mhrp::scenario {
 
 class Topology {
  public:
-  /// `shards` == 0 (the default) runs on the single-threaded Simulator;
-  /// `shards` >= 1 runs on a ShardedExecutive with that many worker
-  /// threads. Nodes are placed on shard 0 unless add_router/add_host/
-  /// add_mobile_host say otherwise (or assign_shard moves them before
-  /// any of their events exist).
-  explicit Topology(std::uint64_t seed = 1, std::uint32_t shards = 0)
-      : rng_(seed) {
-    if (shards == 0) {
-      sim_ = std::make_unique<sim::Simulator>();
-    } else {
-      auto sharded = std::make_unique<sim::ShardedExecutive>(shards);
-      sharded_ = sharded.get();
-      sim_ = std::move(sharded);
-    }
-  }
+  /// Runs on a ShardedExecutive with `shards` shards: one (the default)
+  /// runs inline on the caller's thread, more run one worker thread
+  /// each. Throws std::invalid_argument when `shards` is 0. Nodes are
+  /// placed on shard 0 unless add_router/add_host/add_mobile_host say
+  /// otherwise (or assign_shard moves them before any of their events
+  /// exist).
+  explicit Topology(std::uint64_t seed = 1, std::uint32_t shards = 1)
+      : sim_(shards), rng_(seed) {}
 
-  /// The driver executive: run()/run_for() here. Under sharding this is
-  /// the ShardedExecutive itself; nodes hold per-shard views of it.
-  [[nodiscard]] sim::Executive& sim() { return *sim_; }
-  [[nodiscard]] const sim::Executive& sim() const { return *sim_; }
-  /// The sharded executive, or nullptr when single-threaded — for knobs
-  /// only it has (set_lookahead).
-  [[nodiscard]] sim::ShardedExecutive* sharded_executive() {
-    return sharded_;
-  }
+  /// The driver executive: run()/run_for() here. Nodes hold per-shard
+  /// views of it.
+  [[nodiscard]] sim::ShardedExecutive& sim() { return sim_; }
+  [[nodiscard]] const sim::ShardedExecutive& sim() const { return sim_; }
   [[nodiscard]] util::Rng& rng() { return rng_; }
 
   // ---- Construction ----
@@ -84,12 +71,12 @@ class Topology {
   // ---- Partitioning ----
 
   [[nodiscard]] std::uint32_t shard_count() const {
-    return sim_->shard_count();
+    return sim_.shard_count();
   }
   /// Move `node` to `shard`. Only legal before the node has scheduled
   /// anything (timers, events) — i.e. during topology construction.
   void assign_shard(node::Node& node, std::uint32_t shard) {
-    node.rebind_executive(executive_for(shard));
+    node.rebind_executive(sim_.shard_view(shard));
   }
   /// Links whose member interfaces span more than one shard — the edges
   /// the conservative protocol synchronizes across.
@@ -146,11 +133,6 @@ class Topology {
   util::Hooks<node::Node&> on_node_added;
 
  private:
-  /// The executive a node placed on `shard` should schedule through: the
-  /// Simulator itself single-threaded (shard must be 0), the shard's
-  /// view under sharding.
-  [[nodiscard]] sim::Executive& executive_for(std::uint32_t shard);
-
   // Interface -> owning-node index, rebuilt per routing computation.
   // Lookup-only registry (never iterated), so pointer keys cannot leak
   // address order into route installation or digests.
@@ -161,8 +143,7 @@ class Topology {
 
   // Declared first so it is destroyed last: node/link destructors cancel
   // events through their executive views.
-  std::unique_ptr<sim::Executive> sim_;
-  sim::ShardedExecutive* sharded_ = nullptr;  // non-null iff shards >= 1
+  sim::ShardedExecutive sim_;
   util::Rng rng_;
   std::vector<std::unique_ptr<node::Node>> nodes_;
   std::vector<std::unique_ptr<net::Link>> links_;

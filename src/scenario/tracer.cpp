@@ -79,13 +79,13 @@ std::string describe(const net::Packet& packet) {
 Tracer::Tracer(Topology& topo, std::ostream* out)
     : topo_(topo), out_(out != nullptr ? out : &std::clog) {
   // Fail fast instead of interleaving: the tracer writes one stream from
-  // every node's hooks, which under a sharded executive would be written
+  // every node's hooks, which with more than one shard would be written
   // concurrently by several workers (garbled lines, nondeterministic
   // order). Same policy as ShardedExecutive::set_profiler.
-  if (topo_.sharded_executive() != nullptr) {
+  if (topo_.shard_count() > 1) {
     throw std::logic_error(
-        "Tracer: tracing requires a single-threaded world (shards == 0); "
-        "rerun the scenario unsharded to trace it (DESIGN.md §13)");
+        "Tracer: tracing requires a one-shard world; "
+        "rerun the scenario with shards == 1 to trace it (DESIGN.md §13)");
   }
   for (const auto& node : topo_.nodes()) attach(*node);
   // Nodes created after the tracer must be covered too.

@@ -22,9 +22,9 @@ class Tracer {
   /// attached too, via the topology's node-added hook, so construction
   /// order no longer silently leaves late nodes untraced.
   ///
-  /// Throws std::logic_error when the topology runs on a sharded
-  /// executive: worker threads would interleave the output stream. Run
-  /// the scenario with shards == 0 to trace it (DESIGN.md §13); the
+  /// Throws std::logic_error when the topology has more than one shard:
+  /// worker threads would interleave the output stream. Run the
+  /// scenario with shards == 1 to trace it (DESIGN.md §13); the
   /// event-loop profiler has the same restriction
   /// (ShardedExecutive::set_profiler).
   explicit Tracer(Topology& topo, std::ostream* out = nullptr);

@@ -69,7 +69,7 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedule `action` at absolute time `when`. Times may not decrease
-  /// relative to already-popped events; the Simulator enforces that.
+  /// relative to already-popped events; the executive enforces that.
   /// `category` tags the event for profiler attribution; it does not
   /// affect ordering. Dropping the returned handle forfeits the only way
   /// to cancel the event — cast to void at intentional fire-and-forget
@@ -227,12 +227,10 @@ class EventQueue {
     heap_[i] = item;
   }
 
-  // Groundwork for the sharded executive (ROADMAP item 1): all mutable
-  // queue state is owned by a single logical serial domain today. The
-  // phantom capability documents that invariant and lets a clang
-  // -Wthread-safety build verify it at zero runtime cost; when shards
-  // land, each shard's queue carries its own domain and the annotations
-  // turn into real lock requirements.
+  // All mutable queue state belongs to one serial domain: the thread
+  // running the owning shard. The phantom capability documents that
+  // invariant and lets a clang -Wthread-safety build check it at zero
+  // runtime cost.
   util::ExecutiveSerial serial_;
   std::vector<Slot> slots_ MHRP_GUARDED_BY(serial_);
   std::vector<HeapItem> heap_ MHRP_GUARDED_BY(serial_);

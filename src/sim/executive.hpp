@@ -1,19 +1,17 @@
 // sim::Executive — the simulation-executive interface every consumer of
 // the clock and event queue programs against (nodes, timers, links, the
-// fault plane, the durable store). Two implementations exist:
+// fault plane, the durable store). sim::ShardedExecutive implements it:
+// one EventQueue and clock per shard, one shard run inline on the
+// caller's thread, two or more on one worker thread each, synchronized
+// conservatively in lookahead-sized windows (DESIGN.md §13). Every node
+// lives on exactly one shard and schedules through a per-shard view of
+// this interface; frames crossing shards travel as cross-shard messages
+// (post()).
 //
-//  * sim::Simulator — the classic single-threaded executive: one slab
-//    EventQueue, one clock, events strictly in (time, seq) order.
-//  * sim::ShardedExecutive — one EventQueue + worker thread per shard,
-//    synchronized conservatively in lookahead-sized windows (DESIGN.md
-//    §13). Every node lives on exactly one shard and schedules through a
-//    per-shard view of this interface; frames crossing shards travel as
-//    cross-shard messages (post()).
-//
-// Scheduling semantics shared by both:
-//  * at()/after() are SHARD-LOCAL: they schedule on the calling shard
-//    (for the Simulator, the only shard). Times in the past are clamped
-//    to now() — a local event can always legally fire "immediately".
+// Scheduling semantics:
+//  * at()/after() are SHARD-LOCAL: they schedule on the calling shard.
+//    Times in the past are clamped to now() — a local event can always
+//    legally fire "immediately".
 //  * post() targets an explicit shard. Cross-shard posts are subject to
 //    the lookahead contract: during a run, an event posted into another
 //    shard must land at or after the end of the current synchronization
@@ -104,33 +102,33 @@ class Executive {
   virtual void post(ShardId target, Time when, Action action,
                     EventCategory category = EventCategory::kGeneral) = 0;
 
-  [[nodiscard]] virtual ShardId shard_count() const { return 1; }
-  /// The shard this executive (view) schedules onto. For a sharded
-  /// driver, resolves to the calling worker's shard mid-run.
-  [[nodiscard]] virtual ShardId shard_id() const { return 0; }
-  /// The conservative lookahead window (0 when single-threaded). A
-  /// cross-shard post() from inside an event is always legal at
-  /// `now() + lookahead()` or later.
-  [[nodiscard]] virtual Time lookahead() const { return 0; }
+  [[nodiscard]] virtual ShardId shard_count() const = 0;
+  /// The shard this executive (view) schedules onto. For the driver,
+  /// resolves to the calling worker's shard mid-run.
+  [[nodiscard]] virtual ShardId shard_id() const = 0;
+  /// The conservative lookahead window. A cross-shard post() from inside
+  /// an event is always legal at `now() + lookahead()` or later.
+  [[nodiscard]] virtual Time lookahead() const = 0;
 
   /// Run until every queue is empty or stop() is called. Returns events
   /// executed (summed over shards).
   virtual std::size_t run() = 0;
   /// Run events with timestamp <= deadline; clocks advance to `deadline`
-  /// when the queues drain early. Returns events executed.
+  /// when the queues drain early, and never move back. Returns events
+  /// executed.
   virtual std::size_t run_until(Time deadline) = 0;
   /// Run for a relative duration from the current clock.
   virtual std::size_t run_for(Time duration) = 0;
-  /// Request that the current run return: immediately on a single-threaded
-  /// executive, at the next window boundary on a sharded one.
+  /// Request that the current run return: after the current event with
+  /// one shard, at the next window boundary with more.
   virtual void stop() = 0;
 
   [[nodiscard]] virtual std::size_t pending_events() const = 0;
 
   /// Install (or clear, with nullptr) an event-loop profiler. Wall-time
-  /// observation only; replay-identical on or off. The sharded executive
-  /// rejects a profiler (its per-event wall times interleave across
-  /// threads) — profile single-threaded runs.
+  /// observation only; replay-identical on or off. An executive with more
+  /// than one shard rejects a profiler (its per-event wall times
+  /// interleave across threads) — profile one-shard runs.
   virtual void set_profiler(EventLoopProfiler* profiler) = 0;
 };
 

@@ -1,6 +1,6 @@
 // EventLoopProfiler: attributes executed-event counts and handler
-// wall-time to EventCategory buckets. Installed on a Simulator with
-// set_profiler(); when absent (the default) the run loop pays one
+// wall-time to EventCategory buckets. Installed on a one-shard executive
+// with set_profiler(); when absent (the default) the run loop pays one
 // dispatch per run_until() call — nothing per event — and when present
 // it adds two steady_clock reads around each handler.
 //
@@ -29,7 +29,7 @@ class EventLoopProfiler {
 
   using Clock = std::chrono::steady_clock;
 
-  /// Called by the Simulator run loop around each handler.
+  /// Called by the executive's run loop around each handler.
   [[nodiscard]] Clock::time_point begin_event() const { return Clock::now(); }
 
   void end_event(EventCategory category, Clock::time_point started) {

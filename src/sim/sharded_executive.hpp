@@ -1,18 +1,24 @@
-// ShardedExecutive: the multi-core simulation executive (DESIGN.md §13).
+// ShardedExecutive: the simulation executive (DESIGN.md §13).
 //
 // The internetwork is partitioned into shards; each shard owns a slab
-// EventQueue, its own clock, and one persistent worker thread. Shards
-// synchronize conservatively in windows of width W = the executive's
-// lookahead (the minimum cross-shard link latency, scenario-provided):
-// every event in [T, T+W) can be executed with no input from any other
-// shard, because anything another shard sends from inside the same
-// window arrives at T+W or later. Each window runs three phases,
-// separated by one std::barrier:
+// EventQueue and its own clock. With one shard (the default everywhere)
+// run_until executes that queue inline on the caller's thread, in
+// (time, seq) order, with no worker and no windows: stop() returns
+// after the current event, and an event-loop profiler may watch the
+// loop.
+//
+// With two or more shards, each shard runs on one persistent worker
+// thread, and shards synchronize conservatively in windows of width
+// W = the executive's lookahead (the minimum cross-shard link latency,
+// scenario-provided): every event in [T, T+W) can be executed with no
+// input from any other shard, because anything another shard sends from
+// inside the same window arrives at T+W or later. Each window runs three
+// phases, separated by one std::barrier:
 //
 //   A  the coordinator publishes the window end E = min-next-event + W
 //      and releases the workers;
 //   B  each worker executes its local events with timestamp < E in
-//      (time, seq) order, exactly like the single-threaded Simulator;
+//      (time, seq) order, exactly like the one-shard loop;
 //      cross-shard work lands in per-(source,target) SPSC mailboxes;
 //   C  each worker drains its own inboxes in ascending source-shard
 //      order into its queue, so sequence numbers — and therefore
@@ -20,14 +26,13 @@
 //
 // Determinism contract: for a FIXED shard count, runs are byte-identical
 // (mailbox drain order and per-shard (time, seq) order are both
-// deterministic). A one-shard ShardedExecutive executes the exact event
-// sequence of the single-threaded Simulator. Across DIFFERENT shard
-// counts, same-timestamp interleaving at shared nodes differs (a
-// cross-shard send is sequenced at inbox-drain time, not transmit
-// time), so data-plane counters may wobble by a few packets; only
-// simulated-time-keyed observables — movement, registration
-// completions, series merged on a canonical (time, mobile) key — are
-// comparable. See DESIGN.md §13 for the full contract.
+// deterministic). Across DIFFERENT shard counts, same-timestamp
+// interleaving at shared nodes differs (a cross-shard send is sequenced
+// at inbox-drain time, not transmit time), so data-plane counters may
+// wobble by a few packets; only simulated-time-keyed observables —
+// movement, registration completions, series merged on a canonical
+// (time, mobile) key — are comparable. See DESIGN.md §13 for the full
+// contract.
 //
 // Cross-shard sends are subject to the lookahead contract: a post()
 // whose timestamp lands inside the still-open window throws
@@ -51,6 +56,7 @@
 #include "sim/event_category.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/executive.hpp"
+#include "sim/profiler.hpp"
 #include "sim/time.hpp"
 #include "util/annotations.hpp"
 
@@ -58,9 +64,10 @@ namespace mhrp::sim {
 
 class ShardedExecutive final : public Executive {
  public:
-  /// `shards` worker threads/queues; `lookahead` is the conservative
-  /// window width W (>= 1 microsecond) — set it to the minimum latency
-  /// of any cross-shard link before the first run.
+  /// `shards` (>= 1) queues, with one worker thread each when there are
+  /// two or more; `lookahead` is the conservative window width W
+  /// (>= 1 microsecond) — set it to the minimum latency of any
+  /// cross-shard link before the first run.
   explicit ShardedExecutive(ShardId shards, Time lookahead = millis(1))
       : lookahead_(lookahead),
         barrier_(static_cast<std::ptrdiff_t>(shards) + 1) {
@@ -89,7 +96,8 @@ class ShardedExecutive final : public Executive {
   [[nodiscard]] Time lookahead() const override { return lookahead_; }
 
   /// Per-shard work accounting, read while quiesced. `busy_ns` is the
-  /// worker's own CPU time (CLOCK_THREAD_CPUTIME_ID) spent executing
+  /// CPU time (CLOCK_THREAD_CPUTIME_ID) of the thread that ran the shard
+  /// — its worker, or the caller's thread inline — spent executing
   /// events and draining inboxes — barrier waits excluded — so
   /// executed/busy_ns is the shard's event rate independent of how many
   /// cores the host actually granted (bench_shard reports the sum).
@@ -116,17 +124,27 @@ class ShardedExecutive final : public Executive {
 
   // ---- Executive ----
 
+  /// The calling shard's clock mid-run; quiesced, the furthest clock
+  /// any shard has reached.
   [[nodiscard]] Time now() const override {
-    const Shard* s = current_shard();
-    return s != nullptr ? s->now : floor_;
+    if (const Shard* s = current_shard()) return s->now;
+    Time latest = kTimeZero;
+    for (const auto& shard : shards_) latest = std::max(latest, shard->now);
+    return latest;
   }
 
-  [[nodiscard]] EventHandle at(
+  [[nodiscard]] MHRP_HOT_PATH EventHandle at(
       Time when, Action action,
       EventCategory category = EventCategory::kGeneral) override {
     Shard* s = current_shard();
     if (s == nullptr) s = shards_.front().get();  // quiesced: shard 0
     return schedule_local(*s, when, std::move(action), category);
+  }
+
+  [[nodiscard]] MHRP_HOT_PATH EventHandle after(
+      Time delay, Action action,
+      EventCategory category = EventCategory::kGeneral) override {
+    return at(now() + (delay < 0 ? 0 : delay), std::move(action), category);
   }
 
   bool cancel(const EventHandle& handle) override {
@@ -178,57 +196,29 @@ class ShardedExecutive final : public Executive {
       throw std::logic_error(
           "ShardedExecutive::run_until called from inside a shard event");
     }
-    start_workers();
     const std::uint64_t before = total_executed();
     stopped_.store(false, std::memory_order_relaxed);
-
-    constexpr Time kMax = std::numeric_limits<Time>::max();
-    // First timestamp NOT covered by this run (deadline is inclusive).
-    const Time limit = deadline == kMax ? kMax : deadline + 1;
-    while (!stopped_.load(std::memory_order_relaxed)) {
-      Time next = kMax;
-      for (auto& shard : shards_) {
-        if (!shard->queue.empty()) {
-          next = std::min(next, shard->queue.next_time());
-        }
-      }
-      if (next >= limit) break;  // drained, or nothing left in range
-      const Time window_end =
-          next >= limit - lookahead_ ? limit : next + lookahead_;
-      window_end_.store(window_end, std::memory_order_relaxed);
-      barrier_.arrive_and_wait();  // A: window published, workers go
-      barrier_.arrive_and_wait();  // B: local events < end executed
-      barrier_.arrive_and_wait();  // C: inboxes drained
-      if (has_error()) {
-        std::exception_ptr err;
-        {
-          const std::lock_guard<std::mutex> lock(error_mu_);
-          err = std::exchange(error_, nullptr);
-        }
-        shutdown_workers();
-        std::rethrow_exception(err);
-      }
-    }
-
-    if (!stopped_.load(std::memory_order_relaxed) && deadline != kMax) {
-      // Match Simulator::run_until: a drained run leaves the clock at
-      // the deadline, so subsequent after() calls are deadline-relative.
-      for (auto& shard : shards_) {
-        if (shard->now < deadline) shard->now = deadline;
-      }
-      floor_ = deadline;
+    if (shards_.size() == 1) {
+      run_inline(*shards_.front(), deadline);
     } else {
-      Time reached = floor_;
-      for (auto& shard : shards_) reached = std::max(reached, shard->now);
-      floor_ = reached;
+      run_windows(deadline);
+    }
+    if (!stopped_.load(std::memory_order_relaxed) &&
+        deadline != std::numeric_limits<Time>::max()) {
+      // A drained run leaves the clocks at the deadline, so subsequent
+      // after() calls are deadline-relative. A deadline already behind
+      // a clock leaves it where it is: clocks never run backwards.
+      for (auto& shard : shards_) shard->now = std::max(shard->now, deadline);
     }
     return static_cast<std::size_t>(total_executed() - before);
   }
 
   std::size_t run_for(Time duration) override {
-    return run_until(floor_ + duration);
+    return run_until(now() + duration);
   }
 
+  /// Request that the current run return: after the current event with
+  /// one shard, at the next window boundary with more.
   void stop() override { stopped_.store(true, std::memory_order_relaxed); }
 
   [[nodiscard]] std::size_t pending_events() const override {
@@ -237,15 +227,20 @@ class ShardedExecutive final : public Executive {
     return total;
   }
 
-  /// The sharded executive refuses a profiler: per-event wall times from
-  /// concurrent workers would interleave meaninglessly. Profile under the
-  /// single-threaded Simulator instead. Clearing (nullptr) is accepted so
-  /// generic teardown paths need not special-case the executive kind.
+  /// Install (or clear, with nullptr) an event-loop profiler. It observes
+  /// wall time only, so profiled and unprofiled runs stay
+  /// replay-identical. It takes effect at the next run: the loop body is
+  /// selected once per run, so the unprofiled loop carries no per-event
+  /// check. Only a one-shard executive accepts one — per-event wall times
+  /// from concurrent workers would interleave meaninglessly — but
+  /// clearing is accepted at any shard count, so generic teardown paths
+  /// need not special-case it.
   void set_profiler(EventLoopProfiler* profiler) override {
-    if (profiler != nullptr) {
+    if (profiler != nullptr && shards_.size() > 1) {
       throw std::logic_error(
-          "ShardedExecutive: profiler unsupported; profile single-threaded");
+          "ShardedExecutive: profiler unsupported with more than one shard");
     }
+    profiler_ = profiler;
   }
 
  private:
@@ -307,7 +302,7 @@ class ShardedExecutive final : public Executive {
   /// The facade a shard's nodes hold as their Executive. Scheduling pins
   /// to the owning shard no matter which thread calls (construction-time
   /// calls come from the quiesced main thread); mid-run, only the
-  /// owning shard's worker may schedule through it.
+  /// owning shard's worker may schedule or cancel through it.
   class ShardView final : public Executive {
    public:
     explicit ShardView(ShardedExecutive& owner, Shard& shard)
@@ -315,18 +310,27 @@ class ShardedExecutive final : public Executive {
 
     [[nodiscard]] Time now() const override { return shard_.now; }
 
-    [[nodiscard]] EventHandle at(
+    [[nodiscard]] MHRP_HOT_PATH EventHandle at(
         Time when, Action action,
         EventCategory category = EventCategory::kGeneral) override {
-      Shard* current = owner_.current_shard();
-      if (current != nullptr && current != &shard_) {
+      if (owner_.foreign_to(shard_)) {
         throw std::logic_error(
             "cross-shard at() through a foreign shard view; use post()");
       }
       return owner_.schedule_local(shard_, when, std::move(action), category);
     }
 
+    [[nodiscard]] MHRP_HOT_PATH EventHandle after(
+        Time delay, Action action,
+        EventCategory category = EventCategory::kGeneral) override {
+      return at(shard_.now + (delay < 0 ? 0 : delay), std::move(action),
+                category);
+    }
+
+    /// Mid-run, another shard's worker gets false, as from the driver's
+    /// cancel(): it must not write this shard's queue.
     bool cancel(const EventHandle& handle) override {
+      if (owner_.foreign_to(shard_)) return false;
       return shard_.queue.cancel(handle);
     }
 
@@ -370,7 +374,8 @@ class ShardedExecutive final : public Executive {
     ShardedExecutive* const owner;
     const ShardId id;
     /// The shard's serial domain: its queue, clock, and executed counter
-    /// are touched only by its worker mid-window, and only by the
+    /// are touched only by the thread running the shard mid-run (its
+    /// worker, or the caller's thread with one shard), and only by the
     /// quiesced coordinator between windows (barrier happens-before).
     util::ExecutiveSerial serial;
     EventQueue queue;
@@ -387,24 +392,93 @@ class ShardedExecutive final : public Executive {
     return (s != nullptr && s->owner == this) ? s : nullptr;
   }
 
+  /// True when the calling thread runs a shard other than `shard` — a
+  /// mid-run call that must not touch `shard`'s queue.
+  [[nodiscard]] bool foreign_to(const Shard& shard) const {
+    const Shard* current = current_shard();
+    return current != nullptr && current != &shard;
+  }
+
   [[nodiscard]] EventHandle schedule_local(Shard& shard, Time when,
                                            Action action,
                                            EventCategory category) {
-    if (when < shard.now) when = shard.now;  // local clamp, as Simulator::at
+    if (when < shard.now) when = shard.now;  // never into the shard's past
     return shard.queue.schedule(when, std::move(action), category);
   }
 
-  /// Execute the shard's local events with timestamp < `window_end`,
-  /// advancing its clock — phase B of the window. Newly scheduled local
-  /// events inside the window run in the same pass, exactly as they
-  /// would under the single-threaded executive.
-  void run_window(Shard& shard, Time window_end)
-      MHRP_REQUIRES(shard.serial) {
-    while (!shard.queue.empty() && shard.queue.next_time() < window_end) {
+  /// Execute the shard's events with timestamp <= `last` in (time, seq)
+  /// order, advancing its clock; events scheduled meanwhile inside the
+  /// range run in the same pass. This is phase B of a window, and the
+  /// whole of a one-shard run, which alone honours stop() after each
+  /// event and may carry a profiler. One instantiation per mode keeps
+  /// the unprofiled loop free of per-event checks.
+  template <bool kInline, bool kProfiled>
+  void run_events(Shard& shard, Time last) MHRP_REQUIRES(shard.serial) {
+    while (!shard.queue.empty() && shard.queue.next_time() <= last) {
       auto fired = shard.queue.pop();
       shard.now = fired.when;
-      fired.action();
+      if constexpr (kProfiled) {
+        const auto started = profiler_->begin_event();
+        fired.action();
+        profiler_->end_event(fired.category, started);
+      } else {
+        fired.action();
+      }
       ++shard.executed;
+      if (kInline && stopped_.load(std::memory_order_relaxed)) return;
+    }
+  }
+
+  /// One shard: the caller's thread is the shard's worker for the run,
+  /// so now(), shard_id() and cancel() resolve to it from inside events.
+  void run_inline(Shard& shard, Time deadline) {
+    struct Mark {  // restored on exit, exceptions included
+      explicit Mark(Shard& s) : outer(std::exchange(tls_shard_, &s)) {}
+      ~Mark() { tls_shard_ = outer; }
+      Mark(const Mark&) = delete;
+      Mark& operator=(const Mark&) = delete;
+      Shard* const outer;
+    } const mark(shard);
+    shard.serial.assert_held();
+    const std::uint64_t busy_start = thread_cpu_ns();
+    if (profiler_ == nullptr) {
+      run_events<true, false>(shard, deadline);
+    } else {
+      run_events<true, true>(shard, deadline);
+    }
+    shard.busy_ns += thread_cpu_ns() - busy_start;
+  }
+
+  /// Two or more shards: publish windows until the deadline is covered,
+  /// the queues drain, or stop() is seen at a window boundary.
+  void run_windows(Time deadline) {
+    start_workers();
+    constexpr Time kMax = std::numeric_limits<Time>::max();
+    // First timestamp NOT covered by this run (deadline is inclusive).
+    const Time limit = deadline == kMax ? kMax : deadline + 1;
+    while (!stopped_.load(std::memory_order_relaxed)) {
+      Time next = kMax;
+      for (auto& shard : shards_) {
+        if (!shard->queue.empty()) {
+          next = std::min(next, shard->queue.next_time());
+        }
+      }
+      if (next >= limit) break;  // drained, or nothing left in range
+      const Time window_end =
+          next >= limit - lookahead_ ? limit : next + lookahead_;
+      window_end_.store(window_end, std::memory_order_relaxed);
+      barrier_.arrive_and_wait();  // A: window published, workers go
+      barrier_.arrive_and_wait();  // B: local events < end executed
+      barrier_.arrive_and_wait();  // C: inboxes drained
+      if (has_error()) {
+        std::exception_ptr err;
+        {
+          const std::lock_guard<std::mutex> lock(error_mu_);
+          err = std::exchange(error_, nullptr);
+        }
+        shutdown_workers();
+        std::rethrow_exception(err);
+      }
     }
   }
 
@@ -439,7 +513,7 @@ class ShardedExecutive final : public Executive {
       const Time window_end = window_end_.load(std::memory_order_relaxed);
       const std::uint64_t busy_start = thread_cpu_ns();
       try {
-        run_window(shard, window_end);
+        run_events<false, false>(shard, window_end - 1);
       } catch (...) {
         record_error();
       }
@@ -493,7 +567,6 @@ class ShardedExecutive final : public Executive {
   inline static thread_local Shard* tls_shard_ = nullptr;
 
   Time lookahead_;
-  Time floor_ = kTimeZero;  // completed time, read while quiesced
   std::vector<std::unique_ptr<Shard>> shards_;
   std::barrier<> barrier_;
   std::atomic<Time> window_end_{0};
@@ -502,6 +575,7 @@ class ShardedExecutive final : public Executive {
   std::mutex error_mu_;
   std::exception_ptr error_;
   bool started_ = false;
+  EventLoopProfiler* profiler_ = nullptr;  // one shard only
 };
 
 }  // namespace mhrp::sim

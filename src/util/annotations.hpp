@@ -16,12 +16,9 @@
 //    nondeterminism cannot reach replay digests.
 //
 //  * Clang thread-safety annotations (MHRP_GUARDED_BY & co.), compiled
-//    under -Wthread-safety on Clang builds and inert elsewhere. The
-//    sharded executive (ROADMAP item 1) will hand each shard its own
-//    EventQueue + worker thread; annotating the executive's shared state
-//    NOW means the shard refactor inherits machine-checked locking
-//    discipline instead of retrofitting it. Until real locks exist,
-//    ExecutiveSerial below is the capability: a phantom "I am the (only)
+//    under -Wthread-safety on Clang builds and inert elsewhere. Each
+//    shard of the executive owns an EventQueue and runs on one thread;
+//    ExecutiveSerial below is the capability: a phantom "I am the
 //    executive thread of this shard" token.
 #pragma once
 
@@ -52,12 +49,10 @@ namespace mhrp::util {
 #define MHRP_NO_THREAD_SAFETY_ANALYSIS MHRP_TS_ATTR(no_thread_safety_analysis)
 
 /// Phantom capability standing in for "the executive thread of this
-/// shard". Today the simulator is single-threaded, so holding it is
-/// trivially true and assert_held() compiles to nothing; once worker
-/// threads land, each shard's loop asserts its own serial and
-/// -Wthread-safety rejects any cross-shard touch of guarded state that
-/// does not go through a real synchronization point (which will acquire
-/// the capability for the analysis via MHRP_ACQUIRE/MHRP_RELEASE).
+/// shard". assert_held() compiles to nothing; each shard's loop asserts
+/// its own serial, so -Wthread-safety rejects any cross-shard touch of
+/// guarded state that does not go through a real synchronization point
+/// (which would acquire the capability via MHRP_ACQUIRE/MHRP_RELEASE).
 class MHRP_CAPABILITY("executive-serial") ExecutiveSerial {
  public:
   /// Zero-cost: tells the analysis (not the runtime) that the calling

@@ -1,8 +1,8 @@
 // End-to-end audit runs: the paper's walkthrough scenarios execute under
 // the full wire-invariant auditor and must produce zero violations, with
 // real tunneled traffic observed at every hop; ScaleWorld's binding oracle
-// flags a stale home-agent tunnel; and a dirty report aborts the
-// audit-build teardown check.
+// flags a stale home-agent tunnel; only one-shard ScaleWorlds attach the
+// auditor; and a dirty report aborts the audit-build teardown check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,7 +91,7 @@ TEST(AuditIntegration, RoamingWorldWithOverflowRunsCleanUnderFullAudit) {
 }
 
 TEST(AuditIntegration, AuditBuildAutoAttachesGlobalAuditor) {
-  // In a -DMHRP_AUDIT=ON build every unsharded world attaches its own
+  // In a -DMHRP_AUDIT=ON build every one-shard world attaches its own
   // auditor to all its links and agent caches; it must agree that the
   // traffic is clean. In other builds the world's auditor watches nothing.
   Figure1 w;
@@ -152,6 +152,26 @@ TEST(ScaleWorldAudit, StaleBindingOracleFlagsAnOutdatedTunnel) {
   // The violation was planted; an audit build's teardown check would
   // abort on it.
   w.auditor.report().reset();
+}
+
+TEST(ScaleWorldAudit, AuditBuildAttachesOnlyOneShardWorlds) {
+  // One shard runs inline on one thread, so its world keeps the
+  // single-threaded auditor; two shards transmit from two workers and
+  // skip it (DESIGN.md §13.4).
+  for (const int shards : {1, 2}) {
+    scenario::ScaleWorldOptions options;
+    options.routers = 36;
+    options.foreign_agents = 12;
+    options.mobile_hosts = 24;
+    options.movement_regions = 4;
+    options.shards = shards;
+    scenario::ScaleWorld w(options);
+    w.start();
+    (void)w.run_for(sim::seconds(5));
+    const bool attached = scenario::audit::audit_build() && shards == 1;
+    EXPECT_EQ(w.auditor.report().frames_audited > 0, attached)
+        << shards << " shards";
+  }
 }
 
 TEST(AuditDeathTest, DirtyReportIsPrintedAndAborts) {

@@ -138,18 +138,6 @@ std::string run_digest(const ScaleWorldOptions& opt, sim::Time duration) {
   return world.metrics_digest();
 }
 
-TEST(DvSharded, OneShardMatchesSingleThreadedByteForByte) {
-  // DV under the executive redesign's acceptance bar: periodic timers on
-  // every router's shard, triggered updates, and UDP broadcasts crossing
-  // shard boundaries change nothing at one shard.
-  const std::string serial =
-      run_digest(dv_sharded_options(0), sim::seconds(10));
-  const std::string sharded =
-      run_digest(dv_sharded_options(1), sim::seconds(10));
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, sharded);
-}
-
 TEST(DvSharded, FixedShardCountIsDeterministic) {
   // Four workers, DV broadcasts crossing region boundaries both ways,
   // plus scripted cross-shard link faults (bb circuits are the only

@@ -1,9 +1,8 @@
-// ShardedExecutive: the conservative multi-core executive (DESIGN.md
-// §13). The contract under test, in order of importance:
+// ShardedExecutive: the simulation executive (DESIGN.md §13). The
+// contract under test, in order of importance:
 //
-//  * a one-shard ShardedExecutive executes the exact event sequence of
-//    the single-threaded Simulator — ScaleWorld replay digests are
-//    byte-identical between the two;
+//  * the window protocol runs a shard's events in the order the
+//    one-shard inline loop does — same firings, count and final clock;
 //  * for a FIXED shard count, runs are byte-identical (the window
 //    protocol and the fixed inbox drain order make sequence assignment
 //    deterministic), including with the fault plane armed;
@@ -11,12 +10,15 @@
 //    window is a hard LookaheadViolation — never a silent clamp into
 //    the past (clamping would make results depend on worker timing);
 //  * cancel() across shards is rejected (returns false, same answer as
-//    an already-fired event) rather than racing a foreign queue.
+//    an already-fired event) rather than racing a foreign queue, through
+//    the driver and through a shard's view alike;
+//  * a deadline behind the clock never moves it back.
 //
-// Plus the sharded worlds' refusal of single-threaded instruments (the
-// text Tracer, the profiler, loss bursts).
+// Plus the refusal of single-threaded instruments (the text Tracer, the
+// profiler, loss bursts) by worlds with more than one shard.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -26,7 +28,6 @@
 #include "sim/executive.hpp"
 #include "sim/sharded_executive.hpp"
 #include "sim/profiler.hpp"
-#include "sim/simulator.hpp"
 
 namespace mhrp::sim {
 namespace {
@@ -35,6 +36,8 @@ TEST(ShardedExecutive, ConstructorValidates) {
   EXPECT_THROW(ShardedExecutive(0), std::invalid_argument);
   EXPECT_THROW(ShardedExecutive(2, 0), std::invalid_argument);
   EXPECT_NO_THROW(ShardedExecutive(4, millis(1)));
+  EXPECT_THROW(scenario::Topology(1, 0), std::invalid_argument);
+  EXPECT_NO_THROW(scenario::Topology(1, 1));
 }
 
 TEST(ShardedExecutive, RunsLocalEventsInTimeOrder) {
@@ -101,7 +104,7 @@ TEST(ShardedExecutive, LookaheadViolationIsHardErrorNotClamp) {
 
 TEST(ShardedExecutive, QuiescedPostIsNotALookaheadViolation) {
   // Between runs no window is open: driver-side posts (scenario setup)
-  // schedule directly, with the Simulator's clamp-to-now semantics.
+  // schedule directly, with at()'s clamp-to-now semantics.
   ShardedExecutive exec(2, millis(1));
   bool ran = false;
   exec.post(1, 0, [&] { ran = true; });
@@ -131,6 +134,22 @@ TEST(ShardedExecutive, CancelAcrossShardIsRejected) {
   EXPECT_FALSE(later_ran);
 }
 
+TEST(ShardedExecutive, ForeignShardViewCancelIsRejectedMidRun) {
+  // A shard's view is the Executive its nodes hold; shard 1's worker
+  // reaching it must get the driver's answer (false), not write shard
+  // 0's queue while shard 0's worker runs it.
+  ShardedExecutive exec(2, millis(1));
+  bool victim_ran = false;
+  bool cancel_result = true;
+  const EventHandle victim =
+      exec.shard_view(0).at(millis(5), [&] { victim_ran = true; });
+  exec.post(1, millis(1),
+            [&] { cancel_result = exec.shard_view(0).cancel(victim); });
+  (void)exec.run_until(millis(10));
+  EXPECT_FALSE(cancel_result);
+  EXPECT_TRUE(victim_ran);
+}
+
 TEST(ShardedExecutive, ForeignShardViewAtThrowsMidRun) {
   ShardedExecutive exec(2, millis(1));
   bool threw = false;
@@ -150,6 +169,64 @@ TEST(ShardedExecutive, ProfilerIsRefused) {
   EXPECT_NO_THROW(exec.set_profiler(nullptr));
   EventLoopProfiler profiler;
   EXPECT_THROW(exec.set_profiler(&profiler), std::logic_error);
+}
+
+TEST(ShardedExecutive, PastDeadlineNeverRewindsTheClock) {
+  for (const Executive::ShardId shards : {1u, 2u}) {
+    ShardedExecutive exec(shards);
+    (void)exec.run_until(millis(10));
+    (void)exec.run_until(millis(5));
+    EXPECT_EQ(exec.now(), millis(10)) << shards << " shards";
+    (void)exec.run_for(millis(3));
+    EXPECT_EQ(exec.now(), millis(13)) << shards << " shards";
+  }
+}
+
+/// A seeded program of self-rescheduling events, all on shard 0. Each
+/// firing logs its id, schedules up to three successors 0-750 us ahead
+/// (same-time ties, and firings on both sides of every 1 ms window
+/// boundary), and sometimes cancels a handle that may have fired.
+struct SelfReschedulingProgram {
+  explicit SelfReschedulingProgram(ShardedExecutive& exec)
+      : shard0(exec.shard_view(0)) {
+    for (int i = 0; i < 8; ++i) spawn();
+  }
+
+  void spawn() {
+    const int id = next_id++;
+    const Time delay = static_cast<Time>(rng() % 4) * 250;
+    handles.push_back(shard0.after(delay, [this, id] { fire(id); }));
+  }
+
+  void fire(int id) {
+    fired.push_back(id);
+    const auto children = rng() % 4;
+    for (unsigned c = 0; c < children && next_id < 3000; ++c) spawn();
+    if (rng() % 4 == 0) (void)shard0.cancel(handles[rng() % handles.size()]);
+  }
+
+  Executive& shard0;
+  std::mt19937 rng{20261018};
+  int next_id = 0;
+  std::vector<EventHandle> handles;
+  std::vector<int> fired;
+};
+
+TEST(ShardedExecutive, WindowsRunAShardInTheInlineOrder) {
+  // One shard runs inline on the caller's thread; two run the window
+  // protocol (shard 1 idle). Shard 0's events must fire in the same
+  // order, with the same count and the same final clock, either way.
+  ShardedExecutive inline_exec(1);
+  ShardedExecutive windowed(2, millis(1));
+  SelfReschedulingProgram one(inline_exec);
+  SelfReschedulingProgram two(windowed);
+  const std::size_t executed_inline = inline_exec.run();
+  const std::size_t executed_windowed = windowed.run();
+  ASSERT_GT(one.fired.size(), 1000u);
+  EXPECT_EQ(one.fired, two.fired);
+  EXPECT_EQ(executed_inline, executed_windowed);
+  EXPECT_EQ(inline_exec.now(), windowed.now());
+  EXPECT_GT(inline_exec.now(), millis(1));
 }
 
 TEST(ShardedExecutive, StopEndsRunAtWindowBoundary) {
@@ -193,16 +270,6 @@ std::string run_digest(const ScaleWorldOptions& opt, sim::Time duration) {
   return world.metrics_digest();
 }
 
-TEST(ShardedScaleWorld, OneShardMatchesSingleThreadedByteForByte) {
-  // The acceptance bar for the whole redesign: putting the window
-  // protocol, shard views, and mailboxes under ScaleWorld changes not
-  // one byte of the replay digest when there is only one shard.
-  const std::string serial = run_digest(sharded_options(0), sim::seconds(10));
-  const std::string sharded = run_digest(sharded_options(1), sim::seconds(10));
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, sharded);
-}
-
 TEST(ShardedScaleWorld, FixedShardCountIsDeterministic) {
   const std::string first = run_digest(sharded_options(4), sim::seconds(10));
   const std::string second = run_digest(sharded_options(4), sim::seconds(10));
@@ -233,7 +300,9 @@ TEST(ShardedScaleWorld, ControlPlaneObservablesAreShardCountIndependent) {
 }
 
 TEST(ShardedScaleWorld, RejectsUnshardableConfigurations) {
-  // regions must be a positive multiple of shards...
+  // at least one shard...
+  EXPECT_THROW(ScaleWorld{sharded_options(0)}, std::invalid_argument);
+  // ...regions must be a positive multiple of shards...
   ScaleWorldOptions bad = sharded_options(4);
   bad.movement_regions = 6;
   EXPECT_THROW(ScaleWorld{bad}, std::invalid_argument);
@@ -242,7 +311,7 @@ TEST(ShardedScaleWorld, RejectsUnshardableConfigurations) {
   sparse.movement_regions = 16;
   sparse.foreign_agents = 8;
   EXPECT_THROW(ScaleWorld{sparse}, std::invalid_argument);
-  // ...and single-threaded instruments stay single-threaded.
+  // ...and single-threaded instruments stay on one shard.
   ScaleWorldOptions traced = sharded_options(2);
   traced.telemetry.trace = true;
   EXPECT_THROW(ScaleWorld{traced}, std::invalid_argument);
@@ -253,6 +322,13 @@ TEST(ShardedScaleWorld, RejectsUnshardableConfigurations) {
   bursty.chaos.enabled = true;
   bursty.chaos.loss_bursts_per_sec = 0.2;
   EXPECT_THROW(ScaleWorld{bursty}, std::invalid_argument);
+  // One shard accepts all three.
+  ScaleWorldOptions observed = sharded_options(1);
+  observed.telemetry.trace = true;
+  observed.telemetry.profiler = true;
+  observed.chaos.enabled = true;
+  observed.chaos.loss_bursts_per_sec = 0.2;
+  EXPECT_NO_THROW(ScaleWorld{observed});
 }
 
 TEST(ShardedScaleWorld, TracerConstructionFailsFast) {
@@ -263,8 +339,8 @@ TEST(ShardedScaleWorld, TracerConstructionFailsFast) {
   // ShardedExecutive::set_profiler.
   scenario::Topology sharded(1, 2);
   EXPECT_THROW(scenario::Tracer{sharded}, std::logic_error);
-  scenario::Topology serial(1, 0);
-  EXPECT_NO_THROW(scenario::Tracer{serial});
+  scenario::Topology one_shard(1, 1);
+  EXPECT_NO_THROW(scenario::Tracer{one_shard});
 }
 
 TEST(ShardedScaleWorld, ChaosRunIsDeterministicAcrossRepeats) {

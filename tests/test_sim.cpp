@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_executive.hpp"
 #include "sim/timer.hpp"
 
 namespace mhrp::sim {
@@ -168,7 +168,7 @@ TEST(EventQueue, FifoSurvivesInterleavedCancellation) {
 }
 
 TEST(Simulator, ClockFollowsEvents) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   Time seen = -1;
   (void)sim.after(millis(5), [&] { seen = sim.now(); });
   sim.run();
@@ -177,7 +177,7 @@ TEST(Simulator, ClockFollowsEvents) {
 }
 
 TEST(Simulator, RunUntilStopsAtDeadlineAndAdvancesClock) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   int count = 0;
   (void)sim.after(millis(1), [&] { ++count; });
   (void)sim.after(millis(100), [&] { ++count; });
@@ -189,7 +189,7 @@ TEST(Simulator, RunUntilStopsAtDeadlineAndAdvancesClock) {
 }
 
 TEST(Simulator, EventsScheduleMoreEvents) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   std::vector<Time> times;
   std::function<void(int)> chain = [&](int depth) {
     times.push_back(sim.now());
@@ -203,7 +203,7 @@ TEST(Simulator, EventsScheduleMoreEvents) {
 }
 
 TEST(Simulator, StopInterruptsRun) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   int count = 0;
   for (int i = 1; i <= 10; ++i) {
     (void)sim.after(millis(i), [&sim, &count] {
@@ -215,7 +215,7 @@ TEST(Simulator, StopInterruptsRun) {
 }
 
 TEST(Simulator, PastEventsClampToNow) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   (void)sim.after(millis(10), [] {});
   sim.run();
   bool ran = false;
@@ -226,7 +226,7 @@ TEST(Simulator, PastEventsClampToNow) {
 }
 
 TEST(PeriodicTimer, FiresRepeatedlyUntilStopped) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   int fires = 0;
   PeriodicTimer timer(sim, millis(10), [&] { ++fires; });
   timer.start();
@@ -238,7 +238,7 @@ TEST(PeriodicTimer, FiresRepeatedlyUntilStopped) {
 }
 
 TEST(PeriodicTimer, ActionMayStopItself) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   int fires = 0;
   PeriodicTimer timer(sim, millis(10), [&] {
     if (++fires == 3) timer.stop();
@@ -249,7 +249,7 @@ TEST(PeriodicTimer, ActionMayStopItself) {
 }
 
 TEST(OneShotTimer, ArmRearmsAndCancels) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   int fires = 0;
   OneShotTimer timer(sim, [&] { ++fires; });
   timer.arm(millis(10));
@@ -265,7 +265,7 @@ TEST(OneShotTimer, ArmRearmsAndCancels) {
 }
 
 TEST(TimerDestruction, CancelsPendingWork) {
-  Simulator sim;
+  ShardedExecutive sim(1);
   int fires = 0;
   {
     PeriodicTimer timer(sim, millis(10), [&] { ++fires; });

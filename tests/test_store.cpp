@@ -549,7 +549,7 @@ TEST(WalStore, SlicedCompactionMatchesSynchronousSnapshotByteForByte) {
 // ---- HomeStore sync policies ----
 
 TEST(HomeStore, SyncPolicyAcksImmediatelyAndDurably) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kSync;
   HomeStore hs(sim, o);
@@ -561,7 +561,7 @@ TEST(HomeStore, SyncPolicyAcksImmediatelyAndDurably) {
 }
 
 TEST(HomeStore, IntervalPolicyDefersAcksUntilTheGroupCommit) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::millis(50);
@@ -583,7 +583,7 @@ TEST(HomeStore, IntervalPolicyDefersAcksUntilTheGroupCommit) {
 }
 
 TEST(HomeStore, AsyncPolicyAcksBeforeDurability) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kAsync;
   o.sync_interval = sim::millis(50);
@@ -596,7 +596,7 @@ TEST(HomeStore, AsyncPolicyAcksBeforeDurability) {
 }
 
 TEST(HomeStore, CrashAndRecoverRestoresDurableRowsOnly) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::seconds(300);  // no commit before the crash
@@ -621,7 +621,7 @@ TEST(HomeStore, RecoverOnAMountedStoreIsIdempotent) {
   // Regression: recover() on a store that is already up used to re-arm
   // the interval sweep timer on top of its live registration. It must be
   // a no-op — same timer, same stats, no double-fire.
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::millis(50);
@@ -650,7 +650,7 @@ TEST(HomeStore, RecoverOnAMountedStoreIsIdempotent) {
 TEST(HomeStore, IntervalWindowCommitsAsOneBatchFrame) {
   // The group-commit window coalesces every append since the last sync
   // into one multi-record frame: one CRC, one disk pass per interval.
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::millis(50);
@@ -668,7 +668,7 @@ TEST(HomeStore, IntervalWindowCommitsAsOneBatchFrame) {
 TEST(HomeStore, SyncPolicyWritesOneBatchFramePerRecord) {
   // kSync rides the same group-commit batch as the deferred policies: the
   // sync after each append seals a one-record batch frame.
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kSync;
   HomeStore hs(sim, o);
@@ -683,7 +683,7 @@ TEST(HomeStore, SyncPolicyWritesOneBatchFramePerRecord) {
 }
 
 TEST(HomeStore, SlicedCompactionRunsInTheBackgroundAndReleasesAcks) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::millis(5);

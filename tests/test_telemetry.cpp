@@ -13,7 +13,7 @@
 
 #include "scenario/scale_world.hpp"
 #include "sim/profiler.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_executive.hpp"
 #include "telemetry/json_writer.hpp"
 #include "telemetry/metric.hpp"
 #include "telemetry/metric_registry.hpp"
@@ -281,7 +281,7 @@ TEST(TraceCollectorTest, DisabledRecordsNothing) {
 // ---- EventLoopProfiler ----
 
 TEST(EventLoopProfilerTest, AttributesEventsToCategories) {
-  sim::Simulator simulator;
+  sim::ShardedExecutive simulator(1);
   sim::EventLoopProfiler profiler;
   simulator.set_profiler(&profiler);
   int ran = 0;
@@ -304,7 +304,7 @@ TEST(EventLoopProfilerTest, AttributesEventsToCategories) {
 
 TEST(EventLoopProfilerTest, SimulatedBehaviorUnchangedByProfiler) {
   const auto run = [](bool with_profiler) {
-    sim::Simulator simulator;
+    sim::ShardedExecutive simulator(1);
     sim::EventLoopProfiler profiler;
     if (with_profiler) simulator.set_profiler(&profiler);
     std::vector<int> order;
