@@ -37,7 +37,7 @@ Outcome run(int loop_size, std::size_t max_list) {
   std::vector<node::Router*> routers;
   std::vector<std::unique_ptr<core::MhrpAgent>> agents;
   for (int i = 0; i < loop_size; ++i) {
-    auto& r = topo.add_router("C" + std::to_string(i));
+    auto& r = topo.add_router(scenario::numbered("C", i));
     topo.connect(r, lan, net::IpAddress::of(10, 9, std::uint8_t(i / 250),
                                             std::uint8_t(i % 250 + 1)),
                  16);

@@ -138,9 +138,10 @@ void BM_LocationCacheUpdateWithEviction(benchmark::State& state) {
 }
 BENCHMARK(BM_LocationCacheUpdateWithEviction);
 
-// The slab event queue over its two hot patterns: schedule then pop
-// (pure throughput) and schedule then cancel (the timer-churn pattern —
-// every retransmit timer that is armed and then disarmed).
+// The slab event queue over its hot patterns: schedule then pop (pure
+// throughput), schedule then cancel (every retransmit timer that is
+// armed and then disarmed), and far re-arms among near-term pops (the
+// agent-lifetime timer).
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   sim::EventQueue q;
@@ -174,6 +175,35 @@ void BM_EventQueueScheduleAndCancel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueScheduleAndCancel);
+
+// A mobile host re-arms its 15 s agent-lifetime timer on every
+// advertisement it hears (paper §3), so the timer is cancelled long
+// before its entry could drain, while link deliveries pop around it.
+// Each iteration re-arms one of 1,024 timers 15 s ahead, round robin,
+// and pops one of 64 delivery streams, which schedules its next
+// delivery 1 ms on. `heap_per_live` is heap entries per live event at
+// the end: the dead mass the re-arms leave in the heap.
+void BM_EventQueueRearmChurn(benchmark::State& state) {
+  constexpr std::size_t kTimers = 1024;
+  constexpr int kStreams = 64;
+  sim::EventQueue q;
+  std::vector<sim::EventHandle> timers(kTimers);
+  for (int i = 0; i < kStreams; ++i) (void)q.schedule(i, [] {});
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const sim::Time now = q.next_time();
+    sim::EventHandle& timer = timers[next];
+    next = next + 1 == kTimers ? 0 : next + 1;
+    (void)q.cancel(timer);
+    timer = q.schedule(now + sim::seconds(15), [] {});
+    auto fired = q.pop();
+    benchmark::DoNotOptimize(fired);
+    (void)q.schedule(fired.when + sim::millis(1), [] {});
+  }
+  state.counters["heap_per_live"] = static_cast<double>(q.heap_entries()) /
+                                    static_cast<double>(q.size());
+}
+BENCHMARK(BM_EventQueueRearmChurn);
 
 // One router's table at the perfbench workloads' shapes: the largest
 // table a ScaleWorld of that backbone, router count and foreign-agent

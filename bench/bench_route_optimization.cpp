@@ -40,7 +40,7 @@ Measurement run(int chain, int spur_depth) {
   scenario::Topology topo;
   std::vector<node::Router*> routers;
   for (int i = 0; i < chain; ++i) {
-    routers.push_back(&topo.add_router("R" + std::to_string(i)));
+    routers.push_back(&topo.add_router(scenario::numbered("R", i)));
   }
   // Point-to-point chain links 192.168.<i>.0/30.
   for (int i = 0; i + 1 < chain; ++i) {
@@ -58,7 +58,7 @@ Measurement run(int chain, int spur_depth) {
   // Spur off the middle of the chain; the home network sits at its end.
   node::Router* spur_tail = routers[std::size_t(chain / 2)];
   for (int s = 0; s < spur_depth; ++s) {
-    auto& spur_router = topo.add_router("S" + std::to_string(s));
+    auto& spur_router = topo.add_router(scenario::numbered("S", s));
     auto& link = topo.add_link("spur" + std::to_string(s), sim::millis(1));
     topo.connect(*spur_tail, link,
                  net::IpAddress::of(192, 168, std::uint8_t(100 + s), 1), 30);

@@ -108,20 +108,24 @@ void BM_TraceSpanEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSpanEnabled);
 
+/// Events per run() in the event-loop benches. Each run() pays a fixed
+/// cost (it reads the thread CPU clock twice for shard_stats(), about
+/// 1.4 us); a large batch amortises that so the benches time the loop.
+constexpr int kEventLoopBatch = 4096;
+
 /// One batch of no-op events through the full simulator executive.
 /// `profiled` toggles an installed EventLoopProfiler.
 void run_event_loop_bench(benchmark::State& state, bool profiled) {
   mhrp::sim::ShardedExecutive sim(1);
   mhrp::sim::EventLoopProfiler profiler;
   if (profiled) sim.set_profiler(&profiler);
-  constexpr int kBatch = 64;
   for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
+    for (int i = 0; i < kEventLoopBatch; ++i) {
       (void)sim.after(i, [] {}, mhrp::sim::EventCategory::kLinkDelivery);
     }
     benchmark::DoNotOptimize(sim.run());
   }
-  state.SetItemsProcessed(state.iterations() * kBatch);
+  state.SetItemsProcessed(state.iterations() * kEventLoopBatch);
 }
 
 void BM_EventLoop_NoProfiler(benchmark::State& state) {
@@ -142,18 +146,17 @@ void BM_EventLoop_RawQueueDrain(benchmark::State& state) {
   // per-event.
   mhrp::sim::EventQueue q;
   mhrp::sim::Time t = 0;
-  constexpr int kBatch = 64;
   for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
+    for (int i = 0; i < kEventLoopBatch; ++i) {
       (void)q.schedule(t + i, [] {}, mhrp::sim::EventCategory::kLinkDelivery);
     }
     while (!q.empty()) {
       auto fired = q.pop();
       fired.action();
     }
-    t += kBatch;
+    t += kEventLoopBatch;
   }
-  state.SetItemsProcessed(state.iterations() * kBatch);
+  state.SetItemsProcessed(state.iterations() * kEventLoopBatch);
 }
 BENCHMARK(BM_EventLoop_RawQueueDrain);
 

@@ -59,7 +59,7 @@ int main() {
   std::vector<std::unique_ptr<core::MhrpAgent>> agents;
   constexpr int kLoop = 5;
   for (int i = 0; i < kLoop; ++i) {
-    auto& r = topo.add_router("C" + std::to_string(i));
+    auto& r = topo.add_router(scenario::numbered("C", i));
     topo.connect(r, lan, net::IpAddress::of(10, 9, 0, std::uint8_t(i + 1)),
                  24);
     routers.push_back(&r);

@@ -19,7 +19,7 @@ Interface::~Interface() {
   if (link_ != nullptr) link_->detach(*this);
 }
 
-void Interface::send(Frame frame) {
+void Interface::send(Frame&& frame) {
   if (link_ != nullptr) link_->transmit(*this, std::move(frame));
 }
 

@@ -18,9 +18,11 @@ namespace mhrp::net {
 class Link;
 
 /// Receives frames delivered to an interface. Implemented by node::Node.
+/// Frames travel a hop by rvalue reference: the sink may move the frame's
+/// packet on, so a hop moves its datagram instead of copying it.
 class FrameSink {
  public:
-  virtual void on_frame(class Interface& iface, Frame frame) = 0;
+  virtual void on_frame(class Interface& iface, Frame&& frame) = 0;
 
   /// The attached link of `iface` transitioned up or down (fault plane).
   /// Default: ignore — carrier-sensing consumers (the DV routing
@@ -67,10 +69,10 @@ class Interface {
 
   /// Transmit a frame onto the attached link. Dropped silently when
   /// detached (a radio out of range of any cell).
-  void send(Frame frame);
+  void send(Frame&& frame);
 
   /// Called by the link to hand a received frame to the owning node.
-  void deliver(Frame frame) { sink_.on_frame(*this, std::move(frame)); }
+  void deliver(Frame&& frame) { sink_.on_frame(*this, std::move(frame)); }
 
   /// Called by the link (on this interface's shard) when its carrier
   /// changes; forwards to the owning node.

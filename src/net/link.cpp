@@ -91,7 +91,7 @@ MHRP_HOT_PATH sim::Time Link::delay_for(std::size_t frame_bytes) const {
 // A member on another shard receives its frame as a cross-shard post()
 // to its own shard — the link's latency is what funds the executive's
 // lookahead, so the post always lands at or beyond the window boundary.
-MHRP_HOT_PATH void Link::schedule_delivery(Interface* member, Frame frame,
+MHRP_HOT_PATH void Link::schedule_delivery(Interface* member, Frame&& frame,
                                            sim::Time delay) {
   auto deliver = [this, member, frame = std::move(frame)]() mutable {
     if (!is_up()) {
@@ -110,7 +110,7 @@ MHRP_HOT_PATH void Link::schedule_delivery(Interface* member, Frame frame,
   }
 }
 
-MHRP_HOT_PATH void Link::transmit(const Interface& from, Frame frame) {
+MHRP_HOT_PATH void Link::transmit(const Interface& from, Frame&& frame) {
   if (!is_up()) {
     frames_dropped_down_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -145,6 +145,15 @@ MHRP_HOT_PATH void Link::transmit(const Interface& from, Frame frame) {
   }
   if (duplicate) frames_duplicated_.fetch_add(1, std::memory_order_relaxed);
 
+  // The only copies a hop makes: a duplicate delivery, and one frame per
+  // broadcast recipient but the last.
+  auto hand_over = [&](Interface* member, Frame&& delivered) {
+    if (duplicate) {
+      schedule_delivery(member, Frame(delivered), delay + latency_);
+    }
+    schedule_delivery(member, std::move(delivered), delay);
+  };
+
   if (frame.dst.is_broadcast()) {
     // Every other member gets its own copy of the frame, except the last
     // recipient, which takes the original by move — on a two-member
@@ -158,25 +167,17 @@ MHRP_HOT_PATH void Link::transmit(const Interface& from, Frame frame) {
       }
     }
     if (last == members_.size()) return;  // nobody else to hear it
-    for (std::size_t i = 0; i <= last; ++i) {
-      Interface* member = members_[i];
-      if (member == &from) continue;
-      if (duplicate) {
-        schedule_delivery(member, frame, delay + latency_);
-      }
-      Frame copy = i == last ? std::move(frame) : frame;
-      schedule_delivery(member, std::move(copy), delay);
+    for (std::size_t i = 0; i < last; ++i) {
+      if (members_[i] != &from) hand_over(members_[i], Frame(frame));
     }
+    hand_over(members_[last], std::move(frame));
     return;
   }
 
   for (Interface* member : members_) {
     if (member == &from) continue;
     if (member->mac() == frame.dst) {
-      if (duplicate) {
-        schedule_delivery(member, frame, delay + latency_);
-      }
-      schedule_delivery(member, std::move(frame), delay);
+      hand_over(member, std::move(frame));
       return;
     }
   }

@@ -92,8 +92,9 @@ class Link {
   }
 
   /// Transmit from `from` (which must be attached). Schedules delivery to
-  /// the matching member(s) after the link delay.
-  MHRP_HOT_PATH void transmit(const Interface& from, Frame frame);
+  /// the matching member(s) after the link delay; the last recipient
+  /// takes `frame` by move, and only fan-out and duplicates copy it.
+  MHRP_HOT_PATH void transmit(const Interface& from, Frame&& frame);
 
   /// Fired for every frame the link actually carries (after the up/loss
   /// checks), at the moment of transmission, with the simulated
@@ -125,7 +126,7 @@ class Link {
  private:
   [[nodiscard]] MHRP_HOT_PATH sim::Time delay_for(
       std::size_t frame_bytes) const;
-  MHRP_HOT_PATH void schedule_delivery(Interface* member, Frame frame,
+  MHRP_HOT_PATH void schedule_delivery(Interface* member, Frame&& frame,
                                        sim::Time delay);
   void notify_members(bool up);
 

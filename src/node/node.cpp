@@ -271,7 +271,7 @@ void Node::handle_arp(Interface& iface, const net::ArpMessage& msg) {
   }
 }
 
-void Node::transmit(Interface& iface, Packet packet, IpAddress next_hop) {
+void Node::transmit(Interface& iface, Packet&& packet, IpAddress next_hop) {
   if (!iface.attached()) return;
   InterfaceState& st = state_of(iface);
   if (auto mac = st.arp.lookup(next_hop)) {
@@ -329,19 +329,19 @@ void Node::arp_retry(Interface& iface, IpAddress next_hop) {
 
 // ---- Receive path ----
 
-void Node::on_frame(Interface& iface, Frame frame) {
+void Node::on_frame(Interface& iface, Frame&& frame) {
   if (!up_) return;  // a crashed node hears nothing
   if (frame.is_arp()) {
     handle_arp(iface, frame.arp());
     return;
   }
   ++counters_.ip_received;
-  Packet packet = std::move(frame.packet());
+  Packet& packet = frame.packet();
   packet.count_hop();
   handle_ip(iface, std::move(packet));
 }
 
-void Node::handle_ip(Interface& iface, Packet packet) {
+void Node::handle_ip(Interface& iface, Packet&& packet) {
   const IpAddress dst = packet.header().dst;
   const bool local = owns_address(dst) || dst.is_broadcast() ||
                      dst == iface.prefix().broadcast() ||
@@ -361,7 +361,7 @@ void Node::handle_ip(Interface& iface, Packet packet) {
   // Hosts silently drop traffic that is not for them.
 }
 
-void Node::forward(Packet packet, Interface& in_iface) {
+void Node::forward(Packet&& packet, Interface& in_iface) {
   if (packet.header().ttl <= 1) {
     ++counters_.dropped_ttl;
     send_icmp_error(packet, net::IcmpTimeExceeded{});

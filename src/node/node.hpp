@@ -244,7 +244,7 @@ class Node : public net::FrameSink {
   util::Hooks<const net::Packet&, net::Interface&> on_forward_hook;
 
   // ---- FrameSink ----
-  void on_frame(net::Interface& iface, net::Frame frame) override;
+  void on_frame(net::Interface& iface, net::Frame&& frame) override;
   void on_link_state(net::Interface& iface, bool up) override {
     on_interface_state(iface, up);
   }
@@ -262,14 +262,16 @@ class Node : public net::FrameSink {
   };
 
   void handle_arp(net::Interface& iface, const net::ArpMessage& msg);
-  void handle_ip(net::Interface& iface, net::Packet packet);
+  // The receive path hands a datagram on by rvalue reference: a hop
+  // moves it once, into the outgoing frame, and copies it nowhere.
+  void handle_ip(net::Interface& iface, net::Packet&& packet);
   void deliver_local(net::Packet& packet, net::Interface& iface);
   void handle_icmp(net::Packet& packet, net::Interface& iface);
   void handle_udp(net::Packet& packet, net::Interface& iface);
-  void forward(net::Packet packet, net::Interface& in_iface);
+  void forward(net::Packet&& packet, net::Interface& in_iface);
   /// ARP-resolve `next_hop` on `iface` and emit the frame (queues and
   /// issues an ARP request on a miss).
-  void transmit(net::Interface& iface, net::Packet packet,
+  void transmit(net::Interface& iface, net::Packet&& packet,
                 net::IpAddress next_hop);
   void arp_retry(net::Interface& iface, net::IpAddress next_hop);
   /// Position of `iface` in interfaces_, or interfaces_.size() when it

@@ -26,7 +26,7 @@ MhrpWorld::MhrpWorld(MhrpWorldOptions opts)
   auto& corr_lan = topo.add_link("corrLan", sim::millis(1));
   topo.connect(corr_router, corr_lan, net::IpAddress::of(10, 200, 0, 1), 24);
   for (int c = 0; c < opts.correspondents; ++c) {
-    auto& host = topo.add_host("C" + std::to_string(c));
+    auto& host = topo.add_host(numbered("C", c));
     topo.connect(host, corr_lan,
                  net::IpAddress::of(10, 200, 0,
                                     static_cast<std::uint8_t>(10 + c)),
@@ -38,12 +38,12 @@ MhrpWorld::MhrpWorld(MhrpWorldOptions opts)
   // Foreign sites: router j on 10.(2+j).0.0/24, backbone 10.0.0.(10+j),
   // each with a wireless cell.
   for (int j = 0; j < opts.foreign_sites; ++j) {
-    auto& r = topo.add_router("FA" + std::to_string(j));
+    auto& r = topo.add_router(numbered("FA", j));
     topo.connect(r, backbone,
                  net::IpAddress::of(10, 0, 0,
                                     static_cast<std::uint8_t>(10 + j)),
                  24);
-    auto& cell = topo.add_link("cell" + std::to_string(j), sim::millis(1));
+    auto& cell = topo.add_link(numbered("cell", j), sim::millis(1));
     fa_routers.push_back(&r);
     cells.push_back(&cell);
     roles.foreign.push_back({&r, &topo.connect(r, cell, fa_address(j), 24)});
@@ -51,7 +51,7 @@ MhrpWorld::MhrpWorld(MhrpWorldOptions opts)
 
   // Mobile hosts, homed on the home LAN (initially detached).
   for (int i = 0; i < opts.mobile_hosts; ++i) {
-    add_mobile_host("M" + std::to_string(i), mobile_address(i), ha_iface, 0,
+    add_mobile_host(numbered("M", i), mobile_address(i), ha_iface, 0,
                     opts.solicit_on_attach);
   }
   install(roles);

@@ -288,7 +288,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   const AddressPlan plan = plan_addresses(options);
   routers.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    routers.push_back(&topo.add_router("R" + std::to_string(r),
+    routers.push_back(&topo.add_router(numbered("R", r),
                                        shard_of_region(region_of_router(r))));
   }
   home_router = routers.front();
@@ -327,7 +327,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
                net::IpAddress(plan.corr_subnet + 1), 24);
   corr_shard_ = shard_of_region(region_of_router(n - 1));
   for (int c = 0; c < options.correspondents; ++c) {
-    auto& host = topo.add_host("C" + std::to_string(c), corr_shard_);
+    auto& host = topo.add_host(numbered("C", c), corr_shard_);
     topo.connect(
         host, corr_lan,
         net::IpAddress(plan.corr_subnet + 10 + static_cast<std::uint32_t>(c)),
@@ -344,8 +344,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   for (int j = 0; j < options.foreign_agents; ++j) {
     const int idx = plan.fa_routers[static_cast<std::size_t>(j)];
     node::Router& r = *routers[static_cast<std::size_t>(idx)];
-    auto& cell = topo.add_link("cell" + std::to_string(j),
-                               options.link_latency);
+    auto& cell = topo.add_link(numbered("cell", j), options.link_latency);
     const net::IpAddress agent(
         plan.cell_subnets[static_cast<std::size_t>(j)] + 1);
     roles.foreign.push_back({&r, &topo.connect(r, cell, agent, 24)});
@@ -368,8 +367,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   for (int i = 0; i < options.mobile_hosts; ++i) {
     const std::uint32_t shard = shard_of_region(i % regions);
     mobile_shard_.push_back(shard);
-    add_mobile_host("M" + std::to_string(i), mobile_address(i), ha_iface,
-                    shard);
+    add_mobile_host(numbered("M", i), mobile_address(i), ha_iface, shard);
   }
 
   install(roles);

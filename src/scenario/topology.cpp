@@ -5,6 +5,12 @@
 
 namespace mhrp::scenario {
 
+std::string numbered(std::string_view prefix, int n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
 node::Router& Topology::add_router(const std::string& name,
                                    std::uint32_t shard) {
   auto router = std::make_unique<node::Router>(sim_.shard_view(shard), name);

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,6 +31,12 @@
 #include "util/rng.hpp"
 
 namespace mhrp::scenario {
+
+/// A node or link name: `prefix` followed by `n` in decimal ("R12",
+/// "cell3"). Built by appending: operator+ on a one-character literal
+/// makes gcc 12.2 report a false -Wrestrict overlap, which stops a
+/// -Werror Release build.
+[[nodiscard]] std::string numbered(std::string_view prefix, int n);
 
 class Topology {
  public:

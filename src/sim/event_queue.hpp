@@ -5,17 +5,24 @@
 // reproducible — a property the integration and property tests rely on.
 //
 // Storage is a slab of event slots addressed by {slot index, generation}
-// handles. Scheduling an event allocates nothing beyond amortized vector
-// growth (the pre-slab design paid a shared_ptr control block per event):
-// the action lives in a slab slot that is recycled through a free list,
-// and the heap orders 24-byte POD entries. Cancellation is O(1): it bumps
-// the slot's generation, which orphans the heap entry; orphans are
-// skipped lazily at pop time. A handle whose generation no longer matches
+// handles. The queue itself allocates nothing per event beyond amortized
+// vector growth (the pre-slab design paid a shared_ptr control block per
+// event): the action lives in a slab slot that is recycled through a free
+// list, and the heap orders 24-byte POD entries. An action whose captures
+// outgrow std::function's inline buffer still allocates its own storage. Cancellation bumps the slot's
+// generation, which orphans the heap entry. Orphans that reach the root
+// are skipped at pop time, and once the heap holds more than
+// max(64, 2 x live) entries a cancel erases every orphan and re-heapifies
+// in place — so a timer that is re-armed far ahead many times over (a
+// mobile host's agent lifetime) cannot fill the heap with dead entries.
+// A compaction costs O(heap) and follows at least heap / 2 cancels, so
+// cancel stays amortized O(1). A handle whose generation no longer matches
 // its slot refers to an event that already fired or was cancelled — slot
 // reuse cannot resurrect it (short of 2^32 reuses of one slot between a
 // handle's creation and its last use, which no simulation approaches).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -58,7 +65,8 @@ class EventHandle {
 };
 
 /// Min-heap of (time, sequence) ordered events over a slab of action
-/// slots. Cancellation is O(1); cancelled heap entries are dropped lazily.
+/// slots. Cancellation is amortized O(1); cancelled heap entries are
+/// dropped at pop or by a compaction once they outnumber live ones.
 class EventQueue {
  public:
   using Action = std::function<void()>;
@@ -106,6 +114,7 @@ class EventQueue {
     if (!pending(handle)) return false;
     release(handle.slot_);
     --live_;
+    if (heap_.size() > std::max(kCompactFloor, 2 * live_)) compact();
     return true;
   }
 
@@ -120,6 +129,12 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
+  /// Heap entries, live and orphaned: at most max(64, 2 x size()) after
+  /// any cancel. A diagnostic for tests and benches.
+  [[nodiscard]] std::size_t heap_entries() const {
+    serial_.assert_held();
+    return heap_.size();
+  }
 
   /// Timestamp of the next live event. Requires !empty().
   [[nodiscard]] MHRP_HOT_PATH Time next_time() {
@@ -151,9 +166,11 @@ class EventQueue {
   }
 
  private:
-  friend struct EventQueueTestPeer;  // generation-wraparound tests
+  friend struct EventQueueTestPeer;  // generation and heap-order tests
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  // Below this many heap entries a cancel never compacts.
+  static constexpr std::size_t kCompactFloor = 64;
 
   struct Slot {
     Action action;
@@ -194,6 +211,14 @@ class EventQueue {
 
   void drop_orphans() MHRP_REQUIRES(serial_) {
     while (!heap_.empty() && orphan(heap_.front())) pop_root();
+  }
+
+  /// Erase every orphan, then rebuild the heap bottom-up (O(n)). Entries
+  /// are totally ordered by (when, seq), so the pop order is unchanged.
+  void compact() MHRP_REQUIRES(serial_) {
+    std::erase_if(heap_,
+                  [this](const HeapItem& item) { return orphan(item); });
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
   }
 
   void pop_root() MHRP_REQUIRES(serial_) {

@@ -30,7 +30,7 @@ struct Sites {
   explicit Sites(int sites) {
     backbone = &topo.add_link("backbone", sim::millis(2));
     for (int i = 0; i < sites; ++i) {
-      auto& r = topo.add_router("R" + std::to_string(i));
+      auto& r = topo.add_router(scenario::numbered("R", i));
       topo.connect(r, *backbone, net::IpAddress::of(10, 0, 0, std::uint8_t(i + 1)),
                    24);
       auto& lan =

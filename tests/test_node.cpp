@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "scenario/topology.hpp"
 
@@ -77,6 +78,70 @@ TEST(NodeStack, UdpEchoAcrossRouter) {
   w.a->send_udp(ip("10.2.0.10"), 40001, 7, payload);
   w.topo.sim().run_for(sim::seconds(5));
   EXPECT_EQ(got, payload);
+}
+
+TEST(NodeStack, DatagramKeepsItsMetadataAcrossFourRouters) {
+  // A - R1 - R2 - R3 - R4 - B: five links. Each hop hands the datagram
+  // on by reference and moves it into the next frame; what arrives must
+  // be what left, with one hop counted per link crossed and one TTL per
+  // router. The first datagram waits in every router's ARP queue, the
+  // second finds the caches warm.
+  Topology topo;
+  std::vector<net::Link*> links;
+  for (const char* name : {"l0", "l1", "l2", "l3", "l4"}) {
+    links.push_back(&topo.add_link(name, sim::millis(1)));
+  }
+  auto subnet = [](int k, int host) {
+    return net::IpAddress::of(10, static_cast<std::uint8_t>(k + 1), 0,
+                              static_cast<std::uint8_t>(host));
+  };
+  auto& a = topo.add_host("A");
+  auto& b = topo.add_host("B");
+  topo.connect(a, *links[0], subnet(0, 10), 24);
+  int k = 0;
+  for (const char* name : {"R1", "R2", "R3", "R4"}) {
+    auto& router = topo.add_router(name);
+    topo.connect(router, *links[std::size_t(k)], subnet(k, 1), 24);
+    topo.connect(router, *links[std::size_t(k) + 1], subnet(k + 1, 2), 24);
+    ++k;
+  }
+  topo.connect(b, *links[4], subnet(4, 10), 24);
+  topo.install_static_routes();
+  b.bind_udp(7, [](const net::UdpDatagram&, const net::IpHeader&,
+                   net::Interface&) {});
+
+  std::vector<net::Packet> left;  // as each datagram left A
+  std::vector<net::Packet> arrived;
+  a.add_egress_hook([&left](net::Packet& p) { left.push_back(p); });
+  auto arrivals = b.on_deliver_hook.add(
+      [&arrived](const net::Packet& p) { arrived.push_back(p); });
+  const std::vector<std::uint8_t> data{9, 8, 7, 6, 5, 4, 3};
+  auto send = [&](std::uint64_t flow) {
+    net::IpHeader h;
+    h.protocol = net::to_u8(net::IpProto::kUdp);
+    h.dst = subnet(4, 10);
+    net::Packet p(h, net::encode_udp({40000, 7}, data));
+    p.set_flow_id(flow);
+    a.send_ip(std::move(p));
+  };
+  (void)topo.sim().after(sim::millis(5), [&] { send(41); });
+  (void)topo.sim().after(sim::seconds(1), [&] { send(42); });
+  topo.sim().run_for(sim::seconds(2));
+
+  ASSERT_EQ(left.size(), 2u);
+  ASSERT_EQ(arrived.size(), 2u);
+  EXPECT_EQ(left[0].created_at(), sim::millis(5));
+  EXPECT_EQ(left[1].flow_id(), 42u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(left[i].hop_count(), 0);
+    EXPECT_EQ(arrived[i].hop_count(), 5);
+    EXPECT_EQ(arrived[i].id(), left[i].id());
+    EXPECT_EQ(arrived[i].created_at(), left[i].created_at());
+    EXPECT_EQ(arrived[i].flow_id(), left[i].flow_id());
+    EXPECT_EQ(arrived[i].payload(), left[i].payload());
+    EXPECT_EQ(arrived[i].header().ttl, left[i].header().ttl - 4);
+  }
 }
 
 TEST(NodeStack, UdpToClosedPortReturnsPortUnreachable) {

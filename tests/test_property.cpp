@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <type_traits>
 
 #include "scenario/metrics.hpp"
@@ -198,11 +199,16 @@ INSTANTIATE_TEST_SUITE_P(
                       WorldShape{6, 4, 3, 4, Pointers::kKept}),
     [](const ::testing::TestParamInfo<WorldShape>& info) {
       const WorldShape& s = info.param;
-      return "f" + std::to_string(s.foreign_sites) + "m" +
-             std::to_string(s.mobile_hosts) + "c" +
-             std::to_string(s.correspondents) + "k" +
-             std::to_string(s.max_list_length) +
-             (s.forwarding_pointers == Pointers::kKept ? "ptr" : "noptr");
+      std::string name = "f";
+      name += std::to_string(s.foreign_sites);
+      name += "m";
+      name += std::to_string(s.mobile_hosts);
+      name += "c";
+      name += std::to_string(s.correspondents);
+      name += "k";
+      name += std::to_string(s.max_list_length);
+      name += s.forwarding_pointers == Pointers::kKept ? "ptr" : "noptr";
+      return name;
     });
 
 // ---- Loop-contraction property (§5.3) over loop size and list cap ----
@@ -226,7 +232,7 @@ TEST_P(LoopContraction, EveryLoopEventuallyDissolves) {
   std::vector<node::Router*> routers;
   std::vector<std::unique_ptr<core::MhrpAgent>> agents;
   for (int i = 0; i < param.loop_size; ++i) {
-    auto& r = topo.add_router("C" + std::to_string(i));
+    auto& r = topo.add_router(scenario::numbered("C", i));
     topo.connect(r, lan, net::IpAddress::of(10, 9, 0, std::uint8_t(i + 1)),
                  24);
     routers.push_back(&r);
@@ -301,8 +307,11 @@ INSTANTIATE_TEST_SUITE_P(
                       LoopCase{8, 10, 3}, LoopCase{10, 200, 2},
                       LoopCase{12, 10, 4}, LoopCase{16, 200, 2}),
     [](const ::testing::TestParamInfo<LoopCase>& info) {
-      return "L" + std::to_string(info.param.loop_size) + "K" +
-             std::to_string(info.param.max_list);
+      std::string name = "L";
+      name += std::to_string(info.param.loop_size);
+      name += "K";
+      name += std::to_string(info.param.max_list);
+      return name;
     });
 
 }  // namespace

@@ -159,7 +159,7 @@ struct LoopWorld {
   LoopWorld(int size, std::size_t max_list) {
     auto& lan = topo.add_link("lan", sim::millis(1));
     for (int i = 0; i < size; ++i) {
-      auto& r = topo.add_router("C" + std::to_string(i));
+      auto& r = topo.add_router(scenario::numbered("C", i));
       topo.connect(r, lan, net::IpAddress::of(10, 9, 0, std::uint8_t(i + 1)),
                    24);
       routers.push_back(&r);
@@ -272,7 +272,7 @@ TEST(Robustness, ListOverflowFlushesUpdatesToEarlyHandlers) {
   std::vector<node::Router*> chain;
   std::vector<std::unique_ptr<core::MhrpAgent>> agents;
   for (int i = 0; i < 4; ++i) {
-    auto& r = topo.add_router("C" + std::to_string(i));
+    auto& r = topo.add_router(scenario::numbered("C", i));
     topo.connect(r, lan, net::IpAddress::of(10, 9, 0, std::uint8_t(i + 1)),
                  24);
     chain.push_back(&r);

@@ -233,7 +233,7 @@ bool same_route(const Route* a, const Route* b) {
 }
 
 struct NullSink : net::FrameSink {
-  void on_frame(net::Interface&, net::Frame) override {}
+  void on_frame(net::Interface&, net::Frame&&) override {}
 };
 
 TEST(RoutingTable, RandomOperationsMatchANaiveTierModel) {

@@ -2,19 +2,35 @@
 // executive, and timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <functional>
+#include <map>
+#include <optional>
+#include <random>
+#include <vector>
+
 #include "sim/event_queue.hpp"
 #include "sim/sharded_executive.hpp"
 #include "sim/timer.hpp"
 
 namespace mhrp::sim {
 
-/// Test-only backdoor for forcing a slot's generation counter near its
-/// wraparound point (2^32 schedule/cancel cycles through one slot would
-/// otherwise take hours).
+/// Test-only backdoor into the queue's internals: forcing a slot's
+/// generation counter near its wraparound point (2^32 schedule/cancel
+/// cycles through one slot would otherwise take hours), and checking the
+/// heap array's order.
 struct EventQueueTestPeer {
   static void set_free_slot_generation(EventQueue& q, std::uint32_t slot,
                                        std::uint32_t generation) {
     q.slots_[slot].generation = generation;
+  }
+  /// True when every heap entry orders at or after its parent.
+  static bool heap_ordered(const EventQueue& q) {
+    for (std::size_t i = 1; i < q.heap_.size(); ++i) {
+      if (EventQueue::before(q.heap_[i], q.heap_[(i - 1) / 2])) return false;
+    }
+    return true;
   }
 };
 
@@ -165,6 +181,120 @@ TEST(EventQueue, FifoSurvivesInterleavedCancellation) {
   for (int i = 0; i < 12; i += 2) q.cancel(handles[std::size_t(i)]);
   while (!q.empty()) q.pop().action();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7, 9, 11}));
+}
+
+/// A seeded program in the shape of a mobile host's agent-lifetime timer.
+/// Eight self-rescheduling streams keep simulated time moving in small
+/// steps, with same-time ties. Meanwhile 256 timers are re-armed far
+/// ahead (cancel, then schedule anew); the pick is skewed, so low-index
+/// timers are re-armed long before they could fire and the highest fire
+/// mid-run. One-off near-term events are scheduled and cancelled too.
+/// Every pop is checked against a reference model ordered by
+/// (when, seq), and the queue is drained at the end. `after_cancel` runs
+/// after every successful cancel.
+void run_rearm_program(std::uint64_t seed,
+                       const std::function<void(const EventQueue&)>&
+                           after_cancel) {
+  struct Key {
+    Time when;
+    std::uint64_t seq;
+    auto operator<=>(const Key&) const = default;
+  };
+  struct Tracked {
+    EventHandle handle;
+    Key key;
+  };
+  constexpr int kSteps = 20'000;
+  constexpr int kStreams = 8;
+  constexpr std::size_t kTimers = 256;
+  constexpr Time kHorizon = 500;  // re-arm distance; ties within 4
+
+  EventQueue q;
+  std::mt19937_64 rng(seed);
+  std::map<Key, int> reference;  // pending events -> id
+  std::vector<bool> stream_ids;  // by id
+  std::uint64_t seq = 0;
+  int fired_id = -1;
+  Time now = 0;
+  std::vector<std::optional<Tracked>> timers(kTimers);
+  std::vector<Tracked> one_offs;  // some long fired or cancelled
+
+  auto schedule = [&](Time when, bool stream) {
+    const int id = static_cast<int>(stream_ids.size());
+    stream_ids.push_back(stream);
+    const Key key{when, seq++};
+    reference.emplace(key, id);
+    return Tracked{q.schedule(when, [&fired_id, id] { fired_id = id; }), key};
+  };
+  auto cancel = [&](const Tracked& t) {
+    const bool pending = reference.erase(t.key) == 1;
+    ASSERT_EQ(q.cancel(t.handle), pending);
+    if (pending) after_cancel(q);
+  };
+  auto pop_and_check = [&](bool reschedule_streams) {
+    ASSERT_FALSE(reference.empty());
+    const auto expected = reference.begin();
+    auto fired = q.pop();
+    fired.action();
+    ASSERT_EQ(fired.when, expected->first.when);
+    ASSERT_EQ(fired_id, expected->second);
+    now = fired.when;
+    reference.erase(expected);
+    if (reschedule_streams && stream_ids[std::size_t(fired_id)]) {
+      (void)schedule(now + 1 + static_cast<Time>(rng() % 4), true);
+    }
+  };
+
+  for (int i = 0; i < kStreams; ++i) (void)schedule(0, true);
+  for (int step = 0; step < kSteps; ++step) {
+    const auto op = rng() % 20;
+    if (op < 9) {  // re-arm a timer far ahead
+      std::optional<Tracked>& timer =
+          timers[std::min(rng() % kTimers, rng() % kTimers)];
+      if (timer) cancel(*timer);
+      timer = schedule(now + kHorizon + static_cast<Time>(rng() % 4), false);
+    } else if (op < 11) {  // a one-off near-term event
+      one_offs.push_back(schedule(now + static_cast<Time>(rng() % 4), false));
+    } else if (op < 12) {
+      if (!one_offs.empty()) cancel(one_offs[rng() % one_offs.size()]);
+    } else {
+      pop_and_check(true);
+    }
+    ASSERT_EQ(q.size(), reference.size());
+    if (::testing::Test::HasFatalFailure()) return;  // failed in a lambda
+  }
+  while (!q.empty() && !::testing::Test::HasFatalFailure()) {
+    pop_and_check(false);
+  }
+  EXPECT_TRUE(reference.empty());
+}
+
+TEST(EventQueue, RearmChurnPopsInReferenceOrder) {
+  for (std::uint64_t seed : {1u, 7u, 20261018u}) {
+    SCOPED_TRACE(seed);
+    std::size_t cancels = 0;
+    run_rearm_program(seed, [&cancels](const EventQueue&) { ++cancels; });
+    EXPECT_GT(cancels, 5'000u);  // the program really churns
+  }
+}
+
+TEST(EventQueue, CancelKeepsHeapWithinTwiceTheLiveEvents) {
+  // Each cancel orphans one heap entry; once orphans outnumber live
+  // events, the cancel compacts them away. So after any cancel the heap
+  // holds at most max(64, 2 x live) entries, in heap order. (Without
+  // compaction this program's heap reaches ten entries per live event.)
+  std::size_t cancels = 0;
+  std::size_t over_bound = 0;
+  std::size_t disordered = 0;
+  run_rearm_program(7, [&](const EventQueue& q) {
+    ++cancels;
+    const std::size_t bound = std::max<std::size_t>(64, 2 * q.size());
+    if (q.heap_entries() > bound) ++over_bound;
+    if (!EventQueueTestPeer::heap_ordered(q)) ++disordered;
+  });
+  EXPECT_GT(cancels, 5'000u);
+  EXPECT_EQ(over_bound, 0u);
+  EXPECT_EQ(disordered, 0u);
 }
 
 TEST(Simulator, ClockFollowsEvents) {

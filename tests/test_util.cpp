@@ -40,8 +40,10 @@ TEST(ByteBuffer, BigEndianOnTheWire) {
 }
 
 TEST(ByteBuffer, ReaderThrowsOnTruncation) {
-  std::vector<std::uint8_t> three{1, 2, 3};
-  ByteReader r(three);
+  // The reader checks its span, not the memory behind it: the fourth
+  // byte exists but lies outside the three-byte span.
+  std::vector<std::uint8_t> bytes{1, 2, 3, 4};
+  ByteReader r(std::span<const std::uint8_t>(bytes).first(3));
   EXPECT_EQ(r.u16(), 0x0102);
   EXPECT_THROW((void)r.u16(), CodecError);
 }
