@@ -24,7 +24,7 @@
 // advertisement bodies are insert-order invariant. Timers live on the
 // node's executive (its shard view under sharding); updates to
 // neighbors on other shards ride the ordinary Link frame path, i.e.
-// the existing cross-shard mailbox protocol.
+// the executive's cross-shard post().
 #pragma once
 
 #include <cstdint>

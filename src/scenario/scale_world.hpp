@@ -61,8 +61,9 @@ struct ScaleWorldOptions {
   sim::Time cbr_interval = sim::millis(200);
   std::size_t cbr_payload = 64;
   /// Executive shards, 1..64. One (the default) runs inline on the
-  /// caller's thread; more run one worker thread each. Router regions,
-  /// their cells, and the mobiles roaming them are placed round-robin-free
+  /// caller's thread; with more, the caller's thread runs shard 0 and
+  /// one worker thread each other shard. Router regions, their cells,
+  /// and the mobiles roaming them are placed round-robin-free
   /// (contiguous region blocks) so every wireless cell is shard-local and
   /// only backbone circuits cross shards. Replay digests are
   /// byte-identical for a FIXED shard count. Worlds with more than one

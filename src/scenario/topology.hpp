@@ -41,8 +41,8 @@ namespace mhrp::scenario {
 class Topology {
  public:
   /// Runs on a ShardedExecutive with `shards` shards: one (the default)
-  /// runs inline on the caller's thread, more run one worker thread
-  /// each. Throws std::invalid_argument when `shards` is 0. Nodes are
+  /// runs inline on the caller's thread; with more, the caller's thread
+  /// runs shard 0 and one worker thread each other shard. Throws std::invalid_argument when `shards` is 0. Nodes are
   /// placed on shard 0 unless add_router/add_host/add_mobile_host say
   /// otherwise (or assign_shard moves them before any of their events
   /// exist).

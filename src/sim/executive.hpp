@@ -1,12 +1,13 @@
-// sim::Executive — the simulation-executive interface every consumer of
-// the clock and event queue programs against (nodes, timers, links, the
-// fault plane, the durable store). sim::ShardedExecutive implements it:
-// one EventQueue and clock per shard, one shard run inline on the
-// caller's thread, two or more on one worker thread each, synchronized
-// conservatively in lookahead-sized windows (DESIGN.md §13). Every node
-// lives on exactly one shard and schedules through a per-shard view of
-// this interface; frames crossing shards travel as cross-shard messages
-// (post()).
+// sim::Executive — the scheduling interface every consumer of the clock
+// and event queue programs against (nodes, timers, links, the fault
+// plane, the durable store). sim::ShardedExecutive implements it: one
+// EventQueue and clock per shard, the caller's thread running shard 0
+// and one worker thread each further shard, synchronized conservatively
+// in lookahead-sized windows (DESIGN.md §13). Every node lives on
+// exactly one shard and schedules through a per-shard view of this
+// interface; frames crossing shards travel as cross-shard messages
+// (post()). Driving a run — run_until(), stop() and the rest — is
+// ShardedExecutive's own API: nothing drives one through an Executive&.
 //
 // Scheduling semantics:
 //  * at()/after() are SHARD-LOCAL: they schedule on the calling shard.
@@ -31,7 +32,6 @@
 
 #include "sim/event_category.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/profiler.hpp"
 #include "sim/time.hpp"
 
 namespace mhrp::sim {
@@ -103,33 +103,12 @@ class Executive {
                     EventCategory category = EventCategory::kGeneral) = 0;
 
   [[nodiscard]] virtual ShardId shard_count() const = 0;
-  /// The shard this executive (view) schedules onto. For the driver,
-  /// resolves to the calling worker's shard mid-run.
+  /// The shard this executive (view) schedules onto. On the executive
+  /// itself, mid-run, the shard the calling thread runs.
   [[nodiscard]] virtual ShardId shard_id() const = 0;
   /// The conservative lookahead window. A cross-shard post() from inside
   /// an event is always legal at `now() + lookahead()` or later.
   [[nodiscard]] virtual Time lookahead() const = 0;
-
-  /// Run until every queue is empty or stop() is called. Returns events
-  /// executed (summed over shards).
-  virtual std::size_t run() = 0;
-  /// Run events with timestamp <= deadline; clocks advance to `deadline`
-  /// when the queues drain early, and never move back. Returns events
-  /// executed.
-  virtual std::size_t run_until(Time deadline) = 0;
-  /// Run for a relative duration from the current clock.
-  virtual std::size_t run_for(Time duration) = 0;
-  /// Request that the current run return: after the current event with
-  /// one shard, at the next window boundary with more.
-  virtual void stop() = 0;
-
-  [[nodiscard]] virtual std::size_t pending_events() const = 0;
-
-  /// Install (or clear, with nullptr) an event-loop profiler. Wall-time
-  /// observation only; replay-identical on or off. An executive with more
-  /// than one shard rejects a profiler (its per-event wall times
-  /// interleave across threads) — profile one-shard runs.
-  virtual void set_profiler(EventLoopProfiler* profiler) = 0;
 };
 
 }  // namespace mhrp::sim

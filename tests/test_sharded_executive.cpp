@@ -12,14 +12,22 @@
 //  * cancel() across shards is rejected (returns false, same answer as
 //    an already-fired event) rather than racing a foreign queue, through
 //    the driver and through a shard's view alike;
-//  * a deadline behind the clock never moves it back.
+//  * a deadline behind the clock never moves it back;
+//  * the caller's thread runs shard 0 and one worker each other shard;
+//    workers wait at the barrier between runs and leave only at
+//    shutdown, and an event's exception surfaces from run_until (the
+//    lowest shard's when several shards throw in one window).
 //
 // Plus the refusal of single-threaded instruments (the text Tracer, the
 // profiler, loss bursts) by worlds with more than one shard.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "scenario/scale_world.hpp"
@@ -227,6 +235,132 @@ TEST(ShardedExecutive, WindowsRunAShardInTheInlineOrder) {
   EXPECT_EQ(executed_inline, executed_windowed);
   EXPECT_EQ(inline_exec.now(), windowed.now());
   EXPECT_GT(inline_exec.now(), millis(1));
+}
+
+TEST(ShardedExecutive, CallerThreadRunsShardZero) {
+  // An N-shard run uses N threads: the caller's runs shard 0, and one
+  // worker runs each other shard. A hop chain visits every shard in turn
+  // (each shard's log is written only by the thread running it).
+  for (const Executive::ShardId shards : {2u, 4u}) {
+    ShardedExecutive exec(shards, millis(1));
+    std::vector<std::vector<std::thread::id>> ran_on(shards);
+    const std::function<void(int)> hop = [&](int left) {
+      const Executive::ShardId here = exec.shard_id();
+      ran_on[here].push_back(std::this_thread::get_id());
+      if (left > 0) {
+        exec.post((here + 1) % shards, exec.now() + exec.lookahead(),
+                  [&hop, left] { hop(left - 1); });
+      }
+    };
+    for (Executive::ShardId s = 0; s < shards; ++s) {
+      exec.post(s, micros(s), [&hop] { hop(12); });
+    }
+    (void)exec.run_until(millis(50));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::set<std::thread::id> threads;
+    for (Executive::ShardId s = 0; s < shards; ++s) {
+      ASSERT_FALSE(ran_on[s].empty()) << shards << " shards, shard " << s;
+      for (const std::thread::id id : ran_on[s]) {
+        EXPECT_EQ(id, ran_on[s].front()) << shards << " shards, shard " << s;
+        EXPECT_EQ(id == caller, s == 0) << shards << " shards, shard " << s;
+      }
+      threads.insert(ran_on[s].front());
+    }
+    EXPECT_EQ(threads.size(), shards);
+  }
+}
+
+/// One hop chain per shard, each forwarding to the next shard at
+/// now + lookahead + a multiple of the shard count, so chain c's events
+/// all sit at times congruent to c: no two events on one shard ever
+/// share a timestamp, and each shard's firing order is a function of
+/// simulated time alone, however the run is cut into run_for() calls.
+struct PingPong {
+  explicit PingPong(ShardedExecutive& executive)
+      : exec(executive), fired(executive.shard_count()) {
+    for (Executive::ShardId c = 0; c < exec.shard_count(); ++c) {
+      exec.post(c, micros(c), [this, c] { hop(c, 0); });
+    }
+  }
+
+  void hop(Executive::ShardId chain, int n) {
+    const Executive::ShardId here = exec.shard_id();
+    const Executive::ShardId shards = exec.shard_count();
+    fired[here].push_back(static_cast<int>(chain) * 100000 + n);
+    const Time gap = exec.lookahead() + static_cast<Time>(shards * (n % 5));
+    exec.post((here + 1) % shards, exec.now() + gap,
+              [this, chain, n] { hop(chain, n + 1); });
+  }
+
+  ShardedExecutive& exec;
+  std::vector<std::vector<int>> fired;  // per shard, by its own thread
+};
+
+TEST(ShardedExecutive, WorkersParkBetweenRunsAndExitOnlyOnShutdown) {
+  // Between runs the workers wait at the barrier, and they leave only in
+  // the phase whose completion published shutdown: a worker that left
+  // at an ordinary end of run would strand the destructor at the
+  // barrier. Each executive runs a few windows and is destroyed at once,
+  // which gives such a race room to bite.
+  for (int i = 0; i < 200; ++i) {
+    ShardedExecutive exec(i % 2 == 0 ? 2 : 4, millis(1));
+    PingPong program(exec);
+    (void)exec.run_until(millis(5));
+    ASSERT_GE(program.fired[1].size(), 2u) << "executive " << i;
+  }
+  // Many short runs fire each shard's events in the order of one long
+  // run on a twin.
+  ShardedExecutive chopped(4, millis(1));
+  ShardedExecutive whole(4, millis(1));
+  PingPong a(chopped);
+  PingPong b(whole);
+  for (int i = 0; i < 1000; ++i) (void)chopped.run_for(micros(500));
+  (void)whole.run_until(millis(500));
+  EXPECT_EQ(chopped.now(), whole.now());
+  for (Executive::ShardId s = 0; s < 4; ++s) {
+    EXPECT_GT(a.fired[s].size(), 100u) << "shard " << s;
+    EXPECT_EQ(a.fired[s], b.fired[s]) << "shard " << s;
+  }
+}
+
+TEST(ShardedExecutive, EventExceptionsSurfaceFromEitherSideOfTheBarrier) {
+  // A LookaheadViolation raised on shard 0 (the caller's thread) or on
+  // shard 1 (a worker) surfaces from run_until; when both throw in one
+  // window, shard 0's does. Either way the executive then runs its
+  // remaining events, and its destructor does not hang. Each violating
+  // post lands 1 us after its event on shard 0 and 2 us after on shard
+  // 1, which tells the two exceptions apart.
+  struct Case {
+    bool shard0_throws;
+    bool shard1_throws;
+    Time surfaced_when;
+  };
+  for (const Case c : {Case{true, false, 1}, Case{false, true, 2},
+                       Case{true, true, 1}}) {
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      ShardedExecutive exec(2, millis(1));
+      if (c.shard0_throws) {
+        exec.post(0, 0, [&exec] { exec.post(1, exec.now() + 1, [] {}); });
+      }
+      if (c.shard1_throws) {
+        exec.post(1, 0, [&exec] { exec.post(0, exec.now() + 2, [] {}); });
+      }
+      bool later0 = false;
+      bool later1 = false;
+      exec.post(0, millis(5), [&later0] { later0 = true; });
+      exec.post(1, millis(5), [&later1] { later1 = true; });
+      try {
+        (void)exec.run_until(millis(10));
+        FAIL() << "expected LookaheadViolation";
+      } catch (const LookaheadViolation& v) {
+        EXPECT_EQ(v.when(), c.surfaced_when);
+      }
+      EXPECT_EQ(exec.pending_events(), 2u);
+      EXPECT_EQ(exec.run_until(millis(10)), 2u);
+      EXPECT_TRUE(later0);
+      EXPECT_TRUE(later1);
+    }
+  }
 }
 
 TEST(ShardedExecutive, StopEndsRunAtWindowBoundary) {

@@ -34,8 +34,8 @@ Sharding rules
                   another object's `.queue`/`->queue`, or indexing the
                   global `shards_` table, is a cross-shard data race that
                   TSan would only catch when the interleaving happens to
-                  bite. Resolve the target shard and route through its
-                  mailbox before entering the serial domain.
+                  bite. Resolve the target shard and post() to its
+                  inbox before entering the serial domain.
 
 API rules
   nodiscard       Functions returning status/handle types (EventHandle,
@@ -552,7 +552,7 @@ class TokenEngine:
                              f"touches '{m.group(1)}' queue inside "
                              f"MHRP_REQUIRES({span.serial_of}.serial): a "
                              "serial-domain function may touch only its own "
-                             "shard's queue (route via the mailbox)")
+                             "shard's queue (post() to its inbox)")
                 if SHARD_TABLE_RE.search(line):
                     emit("shard-serial", idx,
                          "indexes the shard table inside a shard-serial "
