@@ -14,7 +14,7 @@ using net::IpProto;
 using net::Packet;
 
 Node::Node(sim::Executive& sim, std::string name)
-    : sim_(&sim), name_(std::move(name)) {}
+    : sim_(sim), name_(std::move(name)) {}
 
 // ---- Interfaces & addressing ----
 
@@ -22,7 +22,7 @@ Interface& Node::add_interface(const std::string& if_name, IpAddress ip,
                                int prefix_length) {
   auto iface = std::make_unique<Interface>(*this, if_name);
   iface->configure(ip, prefix_length);
-  iface->set_shard(sim_->shard_id());
+  iface->set_shard(sim_.shard_id());
   interfaces_.push_back(std::move(iface));
   iface_state_.emplace_back();
   Interface& ref = *interfaces_.back();
@@ -82,7 +82,7 @@ void Node::fail() {
     st.arp.clear();
     for (auto& [next_hop, pending] : st.pending) {
       (void)next_hop;
-      sim_->cancel(pending.retry);
+      sim_.cancel(pending.retry);
     }
     st.pending.clear();
   }
@@ -102,7 +102,7 @@ void Node::send_ip(Packet packet) {
   if (packet.header().src.is_unspecified()) {
     packet.header().src = primary_address();
   }
-  if (packet.created_at() == 0) packet.set_created_at(sim_->now());
+  if (packet.created_at() == 0) packet.set_created_at(sim_.now());
   ++counters_.ip_sent;
 
   for (auto& hook : egress_hooks_) hook(packet);
@@ -111,7 +111,7 @@ void Node::send_ip(Packet packet) {
   if (owns_address(dst)) {
     // Loopback delivery, decoupled from the caller's stack frame.
     if (interfaces_.empty()) return;
-    (void)sim_->after(
+    (void)sim_.after(
         0,
         [this, packet = std::move(packet)]() mutable {
           deliver_local(packet, *interfaces_.front());
@@ -144,7 +144,7 @@ void Node::send_ip(Packet packet) {
 void Node::send_ip_on(Interface& iface, Packet packet, IpAddress link_dst) {
   if (!up_) return;
   if (packet.header().src.is_unspecified()) packet.header().src = iface.ip();
-  if (packet.created_at() == 0) packet.set_created_at(sim_->now());
+  if (packet.created_at() == 0) packet.set_created_at(sim_.now());
   ++counters_.ip_sent;
 
   if (link_dst.is_broadcast() || link_dst.is_multicast() ||
@@ -226,7 +226,7 @@ void Node::send_gratuitous_arp(Interface& iface, IpAddress ip,
   reply.target_mac = net::kMacBroadcast;
   reply.target_ip = ip;
   for (int i = 0; i <= repeats; ++i) {
-    (void)sim_->after(
+    (void)sim_.after(
         sim::millis(100) * i,
         [this, &iface, reply] {
           // The interface may have detached in the meantime; send() handles
@@ -246,7 +246,7 @@ void Node::handle_arp(Interface& iface, const net::ArpMessage& msg) {
     auto pending = st.pending.find(msg.sender_ip);
     if (pending != st.pending.end()) {
       auto queue = std::move(pending->second.queue);
-      sim_->cancel(pending->second.retry);
+      sim_.cancel(pending->second.retry);
       st.pending.erase(pending);
       for (auto& [packet, next_hop] : queue) {
         transmit(iface, std::move(packet), next_hop);
@@ -292,7 +292,7 @@ void Node::transmit(Interface& iface, Packet&& packet, IpAddress next_hop) {
     req.sender_ip = iface.ip();
     req.target_ip = next_hop;
     iface.send(Frame{iface.mac(), net::kMacBroadcast, req});
-    pending.retry = sim_->after(
+    pending.retry = sim_.after(
         kArpRetryDelay,
         [this, &iface, next_hop] { arp_retry(iface, next_hop); },
         sim::EventCategory::kArp);
@@ -321,7 +321,7 @@ void Node::arp_retry(Interface& iface, IpAddress next_hop) {
   req.sender_ip = iface.ip();
   req.target_ip = next_hop;
   iface.send(Frame{iface.mac(), net::kMacBroadcast, req});
-  pending.retry = sim_->after(
+  pending.retry = sim_.after(
       kArpRetryDelay,
       [this, &iface, next_hop] { arp_retry(iface, next_hop); },
       sim::EventCategory::kArp);

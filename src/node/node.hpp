@@ -68,15 +68,7 @@ class Node : public net::FrameSink {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  [[nodiscard]] sim::Executive& sim() { return *sim_; }
-  /// Rebind this node to another executive (a shard view). Only legal
-  /// before the node has armed timers or scheduled events — i.e. at
-  /// topology-construction time (Topology::assign_shard). Re-pins any
-  /// already-added interfaces to the new executive's shard.
-  void rebind_executive(sim::Executive& sim) {
-    sim_ = &sim;
-    for (auto& iface : interfaces_) iface->set_shard(sim.shard_id());
-  }
+  [[nodiscard]] sim::Executive& sim() { return sim_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   // ---- Interfaces & addressing ----
@@ -280,7 +272,7 @@ class Node : public net::FrameSink {
   /// State of one of this node's own interfaces.
   InterfaceState& state_of(const net::Interface& iface);
 
-  sim::Executive* sim_;
+  sim::Executive& sim_;
   std::string name_;
   std::vector<std::unique_ptr<net::Interface>> interfaces_;
   /// Per-interface state, parallel to interfaces_.

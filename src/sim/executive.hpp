@@ -1,18 +1,26 @@
-// sim::Executive — the scheduling interface every consumer of the clock
-// and event queue programs against (nodes, timers, links, the fault
-// plane, the durable store). sim::ShardedExecutive implements it: one
-// EventQueue and clock per shard, the caller's thread running shard 0
-// and one worker thread each further shard, synchronized conservatively
-// in lookahead-sized windows (DESIGN.md §13). Every node lives on
-// exactly one shard and schedules through a per-shard view of this
-// interface; frames crossing shards travel as cross-shard messages
-// (post()). Driving a run — run_until(), stop() and the rest — is
-// ShardedExecutive's own API: nothing drives one through an Executive&.
+// sim::Executive — the scheduling handle every consumer of the clock and
+// event queue programs against (nodes, timers, links, the fault plane,
+// the durable store). It is one concrete class, with no virtual member,
+// and every handle belongs to a sim::ShardedExecutive: one EventQueue and
+// clock per shard, the caller's thread running shard 0 and one worker
+// thread each further shard, synchronized conservatively in
+// lookahead-sized windows (DESIGN.md §13). A handle comes in two kinds:
+//  * pinned to one shard — shard_view(s), which the nodes placed on
+//    shard s hold, so everything they schedule, even at construction
+//    time, lands on their own shard's queue;
+//  * the ShardedExecutive itself, which acts on the shard the calling
+//    thread runs, and between runs on shard 0 (now() then reads the
+//    furthest shard clock and cancel() finds the owning queue).
+// Every node lives on exactly one shard; frames crossing shards travel
+// as cross-shard messages (post()). Driving a run — run_until(), stop()
+// and the rest — is ShardedExecutive's own API: nothing drives one
+// through an Executive&.
 //
 // Scheduling semantics:
-//  * at()/after() are SHARD-LOCAL: they schedule on the calling shard.
+//  * at()/after() are SHARD-LOCAL: they schedule on the handle's shard.
 //    Times in the past are clamped to now() — a local event can always
-//    legally fire "immediately".
+//    legally fire "immediately". Mid-run, at() through a handle pinned
+//    to another shard than the calling thread's throws std::logic_error.
 //  * post() targets an explicit shard. Cross-shard posts are subject to
 //    the lookahead contract: during a run, an event posted into another
 //    shard must land at or after the end of the current synchronization
@@ -60,55 +68,67 @@ class LookaheadViolation : public std::logic_error {
   Time window_end_;
 };
 
+class ShardedExecutive;
+struct Shard;
+
 class Executive {
  public:
   using Action = EventQueue::Action;
   using ShardId = std::uint32_t;
 
-  Executive() = default;
   Executive(const Executive&) = delete;
   Executive& operator=(const Executive&) = delete;
-  virtual ~Executive() = default;
 
-  /// Current simulated time of the calling shard. Monotone non-decreasing
-  /// across the run.
-  [[nodiscard]] virtual Time now() const = 0;
+  /// Current simulated time of the handle's shard. Monotone
+  /// non-decreasing across the run.
+  [[nodiscard]] Time now() const;
 
-  /// Schedule `action` at absolute simulated time `when` on the calling
+  /// Schedule `action` at absolute simulated time `when` on the handle's
   /// shard; times in the past are clamped to now(). Discarding the handle
   /// forfeits cancellation — cast to void at fire-and-forget sites.
-  [[nodiscard]] virtual EventHandle at(
+  [[nodiscard]] EventHandle at(
       Time when, Action action,
-      EventCategory category = EventCategory::kGeneral) = 0;
+      EventCategory category = EventCategory::kGeneral);
 
   /// Schedule `action` after a relative delay (>= 0) from now, on the
-  /// calling shard.
-  [[nodiscard]] virtual EventHandle after(
+  /// handle's shard.
+  [[nodiscard]] EventHandle after(
       Time delay, Action action,
-      EventCategory category = EventCategory::kGeneral) {
-    return at(now() + (delay < 0 ? 0 : delay), std::move(action), category);
-  }
+      EventCategory category = EventCategory::kGeneral);
 
-  /// Cancel a pending event scheduled on the calling shard. Returns false
-  /// when the event already fired or was cancelled — or when the handle
-  /// belongs to another shard's queue (cross-shard cancellation is
+  /// Cancel a pending event scheduled on the handle's shard. Returns
+  /// false when the event already fired or was cancelled — or when the
+  /// handle belongs to another shard's queue (cross-shard cancellation is
   /// rejected, never forwarded).
-  virtual bool cancel(const EventHandle& handle) = 0;
+  bool cancel(const EventHandle& handle);
 
   /// Schedule `action` on shard `target` at absolute time `when`. On the
   /// shard that owns the caller this is at(); crossing shards, `when`
   /// must respect the lookahead contract (see LookaheadViolation) and no
   /// handle is returned — a cross-shard event cannot be cancelled.
-  virtual void post(ShardId target, Time when, Action action,
-                    EventCategory category = EventCategory::kGeneral) = 0;
+  void post(ShardId target, Time when, Action action,
+            EventCategory category = EventCategory::kGeneral);
 
-  [[nodiscard]] virtual ShardId shard_count() const = 0;
-  /// The shard this executive (view) schedules onto. On the executive
-  /// itself, mid-run, the shard the calling thread runs.
-  [[nodiscard]] virtual ShardId shard_id() const = 0;
+  [[nodiscard]] ShardId shard_count() const;
+  /// The shard this handle schedules onto. On the executive itself,
+  /// mid-run, the shard the calling thread runs.
+  [[nodiscard]] ShardId shard_id() const;
   /// The conservative lookahead window. A cross-shard post() from inside
   /// an event is always legal at `now() + lookahead()` or later.
-  [[nodiscard]] virtual Time lookahead() const = 0;
+  [[nodiscard]] Time lookahead() const;
+
+ private:
+  friend class ShardedExecutive;
+  friend struct Shard;
+
+  Executive(ShardedExecutive& owner, Shard* pinned)
+      : owner_(owner), pinned_(pinned) {}
+  // Private, so nothing deletes a ShardedExecutive through this
+  // non-virtual base.
+  ~Executive() = default;
+
+  ShardedExecutive& owner_;
+  Shard* const pinned_;  // nullptr: the shard the calling thread runs
 };
 
 }  // namespace mhrp::sim

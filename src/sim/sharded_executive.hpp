@@ -61,6 +61,41 @@
 
 namespace mhrp::sim {
 
+/// One shard of a ShardedExecutive: its queue and clock, the handle
+/// pinned to it, the cross-shard mail addressed to it and the thread
+/// that runs it. Only the executive and its handles touch it.
+struct Shard {
+  /// A cross-shard event in transit: appended by the source shard's
+  /// thread during a window, drained by the barrier's completion.
+  struct Mail {
+    Time when;
+    EventCategory category;
+    Executive::Action action;
+  };
+
+  Shard(ShardedExecutive& exec, Executive::ShardId shard_id,
+        Executive::ShardId shard_count)
+      : owner(&exec), id(shard_id), view(exec, this), inbox(shard_count) {}
+
+  ShardedExecutive* const owner;
+  const Executive::ShardId id;
+  /// The shard's serial domain: its queue, clock and counters are
+  /// touched only by the thread running the shard during a window, and
+  /// otherwise only by a barrier completion or the quiesced caller,
+  /// which the barrier orders after the window.
+  util::ExecutiveSerial serial;
+  EventQueue queue;
+  Time now = kTimeZero;
+  std::uint64_t executed = 0;
+  std::uint64_t busy_ns = 0;
+  std::uint64_t messages = 0;
+  std::exception_ptr error;  // thrown by an event in this run's last window
+  /// The handle pinned to this shard, which shard_view() returns.
+  Executive view;
+  std::vector<std::vector<Mail>> inbox;  // indexed by source shard
+  std::thread worker;                    // shards 1..N-1
+};
+
 class ShardedExecutive final : public Executive {
  public:
   /// `shards` (>= 1) queues, with one worker thread for each shard after
@@ -68,7 +103,8 @@ class ShardedExecutive final : public Executive {
   /// (>= 1 microsecond) — set it to the minimum latency of any
   /// cross-shard link before the first run.
   explicit ShardedExecutive(ShardId shards, Time lookahead = millis(1))
-      : lookahead_(lookahead),
+      : Executive(*this, nullptr),
+        lookahead_(lookahead),
         barrier_(static_cast<std::ptrdiff_t>(shards), EndWindow{this}) {
     if (shards < 1) {
       throw std::invalid_argument("ShardedExecutive: shards < 1");
@@ -88,7 +124,7 @@ class ShardedExecutive final : public Executive {
 
   /// Publishes shutdown at the barrier, where the workers wait between
   /// runs, and joins them.
-  ~ShardedExecutive() override {
+  ~ShardedExecutive() {
     if (shards_.size() == 1) return;
     shutdown_ = true;
     barrier_.arrive_and_wait();
@@ -105,7 +141,6 @@ class ShardedExecutive final : public Executive {
     }
     lookahead_ = lookahead;
   }
-  [[nodiscard]] Time lookahead() const override { return lookahead_; }
 
   /// Per-shard work accounting, read while quiesced. `busy_ns` is the
   /// CPU time (CLOCK_THREAD_CPUTIME_ID) that the thread running the shard
@@ -133,76 +168,12 @@ class ShardedExecutive final : public Executive {
     return stats;
   }
 
-  /// The per-shard scheduling facade. Nodes assigned to shard `s` hold
-  /// this as their sim::Executive&, so everything they schedule — even
-  /// at construction time, before any run — lands on their own shard's
-  /// queue.
+  /// The handle pinned to shard `shard`. Nodes placed on that shard
+  /// hold it as their sim::Executive&, so everything they schedule —
+  /// even at construction time, before any run — lands on their own
+  /// shard's queue.
   [[nodiscard]] Executive& shard_view(ShardId shard) {
     return shards_.at(shard)->view;
-  }
-
-  // ---- Executive ----
-
-  /// The calling shard's clock mid-run; quiesced, the furthest clock
-  /// any shard has reached.
-  [[nodiscard]] Time now() const override {
-    if (const Shard* s = current_shard()) return s->now;
-    Time latest = kTimeZero;
-    for (const auto& shard : shards_) latest = std::max(latest, shard->now);
-    return latest;
-  }
-
-  [[nodiscard]] MHRP_HOT_PATH EventHandle at(
-      Time when, Action action,
-      EventCategory category = EventCategory::kGeneral) override {
-    Shard* s = current_shard();
-    if (s == nullptr) s = shards_.front().get();  // quiesced: shard 0
-    return schedule_local(*s, when, std::move(action), category);
-  }
-
-  [[nodiscard]] MHRP_HOT_PATH EventHandle after(
-      Time delay, Action action,
-      EventCategory category = EventCategory::kGeneral) override {
-    return at(now() + (delay < 0 ? 0 : delay), std::move(action), category);
-  }
-
-  bool cancel(const EventHandle& handle) override {
-    if (Shard* s = current_shard()) {
-      // Mid-run, only the calling shard's own events are cancellable; a
-      // handle owned by another shard's queue reports false (the same
-      // answer as an event that already fired), never races that queue.
-      return s->queue.cancel(handle);
-    }
-    for (auto& shard : shards_) {  // quiesced: find the owning queue
-      if (shard->queue.cancel(handle)) return true;
-    }
-    return false;
-  }
-
-  void post(ShardId target, Time when, Action action,
-            EventCategory category = EventCategory::kGeneral) override {
-    if (target >= shards_.size()) {
-      throw std::out_of_range("ShardedExecutive::post: shard out of range");
-    }
-    Shard& to = *shards_[target];
-    Shard* from = current_shard();
-    if (from == nullptr || from == &to) {
-      // Quiesced (no window open), or shard-local: plain scheduling.
-      Shard& s = from != nullptr ? *from : to;
-      (void)schedule_local(s, when, std::move(action), category);
-      return;
-    }
-    if (when < window_end_) throw LookaheadViolation(when, window_end_);
-    to.inbox[from->id].push_back(Mail{when, category, std::move(action)});
-  }
-
-  [[nodiscard]] ShardId shard_count() const override {
-    return static_cast<ShardId>(shards_.size());
-  }
-
-  [[nodiscard]] ShardId shard_id() const override {
-    const Shard* s = current_shard();
-    return s != nullptr ? s->id : 0;
   }
 
   // ---- Driving a run (from outside every event) ----
@@ -281,92 +252,9 @@ class ShardedExecutive final : public Executive {
   }
 
  private:
-  struct Shard;
+  friend class Executive;
 
   static constexpr Time kNever = std::numeric_limits<Time>::max();
-
-  /// The facade a shard's nodes hold as their Executive. Scheduling pins
-  /// to the owning shard no matter which thread calls (construction-time
-  /// calls come from the quiesced main thread); mid-run, only the thread
-  /// running the owning shard may schedule or cancel through it.
-  class ShardView final : public Executive {
-   public:
-    explicit ShardView(ShardedExecutive& owner, Shard& shard)
-        : owner_(owner), shard_(shard) {}
-
-    [[nodiscard]] Time now() const override { return shard_.now; }
-
-    [[nodiscard]] MHRP_HOT_PATH EventHandle at(
-        Time when, Action action,
-        EventCategory category = EventCategory::kGeneral) override {
-      if (owner_.foreign_to(shard_)) {
-        throw std::logic_error(
-            "cross-shard at() through a foreign shard view; use post()");
-      }
-      return owner_.schedule_local(shard_, when, std::move(action), category);
-    }
-
-    [[nodiscard]] MHRP_HOT_PATH EventHandle after(
-        Time delay, Action action,
-        EventCategory category = EventCategory::kGeneral) override {
-      return at(shard_.now + (delay < 0 ? 0 : delay), std::move(action),
-                category);
-    }
-
-    /// Mid-run, another shard's thread gets false, as from the
-    /// executive's cancel(): it must not write this shard's queue.
-    bool cancel(const EventHandle& handle) override {
-      if (owner_.foreign_to(shard_)) return false;
-      return shard_.queue.cancel(handle);
-    }
-
-    void post(ShardId target, Time when, Action action,
-              EventCategory category = EventCategory::kGeneral) override {
-      owner_.post(target, when, std::move(action), category);
-    }
-
-    [[nodiscard]] ShardId shard_count() const override {
-      return owner_.shard_count();
-    }
-    [[nodiscard]] ShardId shard_id() const override { return shard_.id; }
-    [[nodiscard]] Time lookahead() const override {
-      return owner_.lookahead();
-    }
-
-   private:
-    ShardedExecutive& owner_;
-    Shard& shard_;
-  };
-
-  /// A cross-shard event in transit: appended by the source shard's
-  /// thread during a window, drained by the barrier's completion.
-  struct Mail {
-    Time when;
-    EventCategory category;
-    Action action;
-  };
-
-  struct Shard {
-    Shard(ShardedExecutive& exec, ShardId shard_id, ShardId shard_count)
-        : owner(&exec), id(shard_id), view(exec, *this), inbox(shard_count) {}
-
-    ShardedExecutive* const owner;
-    const ShardId id;
-    /// The shard's serial domain: its queue, clock and counters are
-    /// touched only by the thread running the shard during a window, and
-    /// otherwise only by a barrier completion or the quiesced caller,
-    /// which the barrier orders after the window.
-    util::ExecutiveSerial serial;
-    EventQueue queue;
-    Time now = kTimeZero;
-    std::uint64_t executed = 0;
-    std::uint64_t busy_ns = 0;
-    std::uint64_t messages = 0;
-    std::exception_ptr error;  // thrown by an event in this run's last window
-    ShardView view;
-    std::vector<std::vector<Mail>> inbox;  // indexed by source shard
-    std::thread worker;                    // shards 1..N-1
-  };
 
   /// What the last barrier completion published.
   enum class Phase { kWindow, kRunEnded, kShutdown };
@@ -381,13 +269,6 @@ class ShardedExecutive final : public Executive {
   [[nodiscard]] Shard* current_shard() const {
     Shard* s = tls_shard_;
     return (s != nullptr && s->owner == this) ? s : nullptr;
-  }
-
-  /// True when the calling thread runs a shard other than `shard` — a
-  /// mid-run call that must not touch `shard`'s queue.
-  [[nodiscard]] bool foreign_to(const Shard& shard) const {
-    const Shard* current = current_shard();
-    return current != nullptr && current != &shard;
   }
 
   [[nodiscard]] EventHandle schedule_local(Shard& shard, Time when,
@@ -494,8 +375,8 @@ class ShardedExecutive final : public Executive {
     Time next = kNever;
     bool failed = false;
     for (auto& to : shards_) {
-      for (std::vector<Mail>& mail : to->inbox) {
-        for (Mail& m : mail) {
+      for (std::vector<Shard::Mail>& mail : to->inbox) {
+        for (Shard::Mail& m : mail) {
           (void)schedule_local(*to, m.when, std::move(m.action), m.category);
         }
         to->messages += mail.size();

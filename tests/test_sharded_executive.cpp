@@ -11,7 +11,10 @@
 //    the past (clamping would make results depend on worker timing);
 //  * cancel() across shards is rejected (returns false, same answer as
 //    an already-fired event) rather than racing a foreign queue, through
-//    the driver and through a shard's view alike;
+//    the executive's own handle and through a handle pinned to the
+//    shard alike;
+//  * between runs, a handle pinned to a shard (shard_view) schedules on
+//    that shard and the executive's own handle on shard 0;
 //  * a deadline behind the clock never moves it back;
 //  * the caller's thread runs shard 0 and one worker each other shard;
 //    workers wait at the barrier between runs and leave only at
@@ -28,6 +31,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "scenario/scale_world.hpp"
@@ -143,9 +147,9 @@ TEST(ShardedExecutive, CancelAcrossShardIsRejected) {
 }
 
 TEST(ShardedExecutive, ForeignShardViewCancelIsRejectedMidRun) {
-  // A shard's view is the Executive its nodes hold; shard 1's worker
-  // reaching it must get the driver's answer (false), not write shard
-  // 0's queue while shard 0's worker runs it.
+  // The handle pinned to a shard is the Executive its nodes hold; shard
+  // 1's worker reaching shard 0's must get the executive's answer
+  // (false), not write shard 0's queue while shard 0's thread runs it.
   ShardedExecutive exec(2, millis(1));
   bool victim_ran = false;
   bool cancel_result = true;
@@ -170,6 +174,31 @@ TEST(ShardedExecutive, ForeignShardViewAtThrowsMidRun) {
   });
   (void)exec.run_until(millis(10));
   EXPECT_TRUE(threw);
+}
+
+// A node's handle and the executive's own are one concrete class.
+static_assert(!std::is_polymorphic_v<Executive>);
+
+TEST(ShardedExecutive, HandlesScheduleOnTheirOwnShardBetweenRuns) {
+  ShardedExecutive exec(2, millis(1));
+  Executive& shard1 = exec.shard_view(1);
+  EXPECT_EQ(shard1.shard_id(), 1u);  // on the caller's thread, quiesced
+  EXPECT_EQ(exec.shard_id(), 0u);
+  // Each shard's log is written only by the thread running that shard.
+  std::vector<std::vector<Time>> fired_on(2);
+  const auto log = [&] { fired_on[exec.shard_id()].push_back(exec.now()); };
+  (void)shard1.at(millis(3), log);
+  (void)exec.at(millis(10), log);
+  (void)exec.run();
+  EXPECT_EQ(fired_on[0], std::vector<Time>{millis(10)});
+  EXPECT_EQ(fired_on[1], std::vector<Time>{millis(3)});
+  // A drained run() leaves each clock at its shard's last event; the
+  // executive's own handle reads the furthest, a pinned one its shard's.
+  EXPECT_EQ(exec.now(), millis(10));
+  (void)shard1.after(millis(2), log);
+  (void)exec.run();
+  EXPECT_EQ(fired_on[1], (std::vector<Time>{millis(3), millis(5)}));
+  EXPECT_EQ(fired_on[0].size(), 1u);
 }
 
 TEST(ShardedExecutive, ProfilerIsRefused) {
