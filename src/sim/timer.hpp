@@ -1,11 +1,11 @@
-// RAII timers layered on the simulation executive. A PeriodicTimer drives recurring
-// protocol behavior (agent advertisements, distance-vector updates); a
-// OneShotTimer drives timeouts (registration retransmission, movement
-// detection). Both cancel themselves on destruction, so a node that is
-// torn down never leaves dangling callbacks in the event queue.
+// RAII timers layered on the simulation executive. A PeriodicTimer
+// drives recurring protocol behavior (agent advertisements,
+// distance-vector updates); a OneShotTimer drives timeouts (registration
+// retransmission, movement detection). Both cancel themselves on
+// destruction, so a node that is torn down never leaves dangling
+// callbacks in the event queue.
 #pragma once
 
-#include <functional>
 #include <utility>
 
 #include "sim/executive.hpp"
@@ -16,7 +16,7 @@ namespace mhrp::sim {
 /// firing happens after an initial delay (default: one period).
 class PeriodicTimer {
  public:
-  using Action = std::function<void()>;
+  using Action = EventQueue::Action;
 
   PeriodicTimer(Executive& sim, Time period, Action action,
                 EventCategory category = EventCategory::kGeneral)
@@ -65,7 +65,7 @@ class PeriodicTimer {
 /// Fires `action` once after `delay`; can be re-armed or cancelled.
 class OneShotTimer {
  public:
-  using Action = std::function<void()>;
+  using Action = EventQueue::Action;
 
   OneShotTimer(Executive& sim, Action action,
                EventCategory category = EventCategory::kGeneral)

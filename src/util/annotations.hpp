@@ -15,11 +15,12 @@
 //    iteration). The reason string is mandatory and should say why the
 //    nondeterminism cannot reach replay digests.
 //
-//  * Clang thread-safety annotations (MHRP_GUARDED_BY & co.), compiled
-//    under -Wthread-safety on Clang builds and inert elsewhere. Each
-//    shard of the executive owns an EventQueue and runs on one thread;
-//    ExecutiveSerial below is the capability: a phantom "I am the
-//    executive thread of this shard" token.
+//  * Clang thread-safety annotations (MHRP_GUARDED_BY, MHRP_REQUIRES and
+//    the capability they name), compiled under -Wthread-safety on Clang
+//    builds and inert elsewhere. Each shard of the executive owns an
+//    EventQueue and runs on one thread; ExecutiveSerial below is the
+//    capability: a phantom "I am the executive thread of this shard"
+//    token.
 #pragma once
 
 namespace mhrp::util {
@@ -33,26 +34,17 @@ namespace mhrp::util {
 #endif
 
 #define MHRP_CAPABILITY(x) MHRP_TS_ATTR(capability(x))
-#define MHRP_SCOPED_CAPABILITY MHRP_TS_ATTR(scoped_lockable)
 #define MHRP_GUARDED_BY(x) MHRP_TS_ATTR(guarded_by(x))
-#define MHRP_PT_GUARDED_BY(x) MHRP_TS_ATTR(pt_guarded_by(x))
 #define MHRP_REQUIRES(...) MHRP_TS_ATTR(requires_capability(__VA_ARGS__))
-#define MHRP_REQUIRES_SHARED(...) \
-  MHRP_TS_ATTR(requires_shared_capability(__VA_ARGS__))
-#define MHRP_ACQUIRE(...) MHRP_TS_ATTR(acquire_capability(__VA_ARGS__))
-#define MHRP_RELEASE(...) MHRP_TS_ATTR(release_capability(__VA_ARGS__))
-#define MHRP_TRY_ACQUIRE(...) \
-  MHRP_TS_ATTR(try_acquire_capability(__VA_ARGS__))
-#define MHRP_EXCLUDES(...) MHRP_TS_ATTR(locks_excluded(__VA_ARGS__))
 #define MHRP_ASSERT_CAPABILITY(x) MHRP_TS_ATTR(assert_capability(x))
-#define MHRP_RETURN_CAPABILITY(x) MHRP_TS_ATTR(lock_returned(x))
-#define MHRP_NO_THREAD_SAFETY_ANALYSIS MHRP_TS_ATTR(no_thread_safety_analysis)
 
 /// Phantom capability standing in for "the executive thread of this
 /// shard". assert_held() compiles to nothing; each shard's loop asserts
-/// its own serial, so -Wthread-safety rejects any cross-shard touch of
-/// guarded state that does not go through a real synchronization point
-/// (which would acquire the capability via MHRP_ACQUIRE/MHRP_RELEASE).
+/// its own serial and the functions that run a shard's events require
+/// it, so -Wthread-safety rejects a call into them, or a touch of
+/// guarded state, from a context that has not asserted it. The
+/// executive's barrier, not a lock, hands a shard from one thread to
+/// another, so nothing acquires or releases the capability.
 class MHRP_CAPABILITY("executive-serial") ExecutiveSerial {
  public:
   /// Zero-cost: tells the analysis (not the runtime) that the calling

@@ -1,5 +1,6 @@
 // Fixture: hotpath-alloc rule. Allocation inside MHRP_HOT_PATH functions
-// fires; identical code in unmarked functions is clean; the amortized
+// fires, in the class body and in a qualified out-of-line definition
+// alike; identical code in unmarked functions is clean; the amortized
 // slab-growth idiom carries an inline suppression.
 #include <cstdint>
 #include <memory>
@@ -33,8 +34,14 @@ class Queue {
     items_.reserve(items_.size() * 2);
   }
 
+  void push_late(Item item);  // marked where it is defined, below
+
  private:
   std::vector<Item> items_;
 };
+
+MHRP_HOT_PATH inline void Queue::push_late(Item item) {
+  items_.push_back(item);  // EXPECT-LINT: hotpath-alloc
+}
 
 }  // namespace fixture
